@@ -7,7 +7,7 @@ material parameters, device orientations and positions for gradient-based
 calibration.
 """
 
-from .autodiff import DiffComplex, DiffScalar, Tape, grad
+from .autodiff import DiffComplex, DiffScalar, Tape
 from .bvh import Bvh, build
 from .channel import (Cir, CoverageMap, FreqResponse, GridSpec, build_cir,
                       coverage_map, frequency_response, load_cir,

@@ -277,11 +277,6 @@ class Tape:
                 for slot, name in self._leaf_names.items()}
 
 
-def grad(tape: Tape, output: DiffScalar) -> dict[str, float]:
-    """Gradient of ``output`` with respect to every named leaf of ``tape``."""
-    return tape.gradient(output)
-
-
 class DiffComplex:
     """Complex number with scalar-like (float or DiffScalar) components."""
 

@@ -46,6 +46,7 @@ class Bvh:
         self._nodes = []  # (min3, max3, a, b, is_leaf): leaf -> prims[a:b]
         self._order = np.arange(self.num_prims)
         if self.num_prims:
+            self._cursor = 0  # next free slot of _order, advanced per leaf
             cent = v0 + (e1 + e2) / 3.0
             lo = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
             hi = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
@@ -62,7 +63,7 @@ class Bvh:
         bmin = lo[idx].min(axis=0)
         bmax = hi[idx].max(axis=0)
         if len(idx) <= LEAF_SIZE:
-            start = getattr(self, "_cursor", 0)
+            start = self._cursor
             self._order[start:start + len(idx)] = np.sort(idx)
             self._cursor = start + len(idx)
             self._nodes.append((bmin, bmax, start, start + len(idx), True))

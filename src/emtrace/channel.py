@@ -11,7 +11,7 @@ from .autodiff import DiffComplex
 from .em import EvalContext, path_geometry, path_materials, synthetic_phase, transfer
 from .geometry import mat_vec
 from .scene import RadioDevice
-from .tracer import compute_paths_between
+from .tracer import candidate_set, compute_paths_between, solve_candidates
 
 PROBE_NAME = "__probe__"
 COVERAGE_MAGIC = "emtrace-coverage-v1"
@@ -187,6 +187,16 @@ def probe_receiver(point) -> RadioDevice:
                        position=np.asarray(point, dtype=np.float64))
 
 
+def probe_paths(scene, bvh, tx_dev, points, max_depth: int,
+                method: str = "exhaustive", num_rays: int = 4096):
+    """Yield (probe, paths) per point, all solved from one candidate set."""
+    candidates = candidate_set(scene, bvh, tx_dev.position, max_depth, method,
+                               num_rays)
+    for point in points:
+        probe = probe_receiver(point)
+        yield probe, solve_candidates(scene, bvh, tx_dev, probe, candidates)
+
+
 def point_path_gain(scene, bvh, tx_dev, point, max_depth: int,
                     method: str = "exhaustive", num_rays: int = 4096,
                     ctx: EvalContext | None = None, frozen_paths=None,
@@ -237,17 +247,20 @@ def coverage_map(scene, bvh, grid: GridSpec, max_depth: int,
                  method: str = "exhaustive", num_rays: int = 4096,
                  tx_name: str | None = None, tx_mode: str = "central",
                  cell_cap: int = 250_000) -> CoverageMap:
-    """Deterministic per-cell coverage: compute_paths at every cell center."""
+    """Deterministic per-cell coverage, solving one cell center at a time."""
     if grid.num_cells > cell_cap:
         raise ChannelError(f"grid has {grid.num_cells} cells, above the cap of {cell_cap}")
     txs = scene.transmitters
     if not txs:
         raise ChannelError("scene has no transmitter")
     tx_dev = scene.device(tx_name) if tx_name else txs[0]
+    centers = (grid.cell_center(ix, iy)
+               for iy in range(grid.ny) for ix in range(grid.nx))
+    traced = probe_paths(scene, bvh, tx_dev, centers, max_depth, method, num_rays)
     gains = np.zeros((grid.ny, grid.nx))
-    for iy in range(grid.ny):
-        for ix in range(grid.nx):
-            g, _ = point_path_gain(scene, bvh, tx_dev, grid.cell_center(ix, iy),
-                                   max_depth, method, num_rays, tx_mode=tx_mode)
-            gains[iy, ix] = float(g)
+    for k, (probe, paths) in enumerate(traced):  # row-major, as gains.flat
+        g, _ = point_path_gain(scene, bvh, tx_dev, probe.position, max_depth,
+                               method, num_rays, frozen_paths=paths,
+                               tx_mode=tx_mode)
+        gains.flat[k] = float(g)
     return CoverageMap(grid=grid, gains=gains, frequency_hz=scene.frequency_hz)

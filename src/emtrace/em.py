@@ -151,7 +151,6 @@ def _perp_axis(k_in, n):
         # least aligned with the ray for stability
         kv = [abs(k_in[i].value if isinstance(k_in[i], DiffScalar) else k_in[i])
               for i in range(3)]
-        axis = (0.0, 0.0, 0.0)
         axis = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))[kv.index(min(kv))]
         e = t_cross(k_in, axis)
     return t_normalize(e)

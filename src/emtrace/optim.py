@@ -4,8 +4,8 @@ Two experiment drivers sit on top of the differentiable coefficient
 pipeline: learning radio material parameters from channel frequency
 responses (NMSE loss, projected gradient descent) and steering a
 transmitter to maximize mean received power over a map region (gradient
-ascent). Both freeze path topology and refresh it periodically; materials
-never move geometry, so the refresh matters only for moving devices.
+ascent). Neither materials nor orientation move path geometry, so both
+trace their probes once, before the first iteration.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ import numpy as np
 from .autodiff import DiffComplex, DiffScalar, Tape
 from .autodiff import log as ad_log
 from .bvh import build
-from .channel import GridSpec, point_path_gain, probe_receiver, subcarrier_frequencies
+from .channel import GridSpec, point_path_gain, probe_paths, subcarrier_frequencies
 from .em import EvalContext, geometry_from_path, path_materials, transfer
-from .tracer import compute_paths_between
 
 
 class OptimError(ValueError):
@@ -36,7 +35,6 @@ class OptimConfig:
     lr_angle: float = 0.2  # radians-scale leaves
     iterations: int = 500
     line_search: bool = True
-    topology_refresh: int = 10
     rel_tol: float = 1e-6
     tol_window: int = 10
     max_depth: int = 2
@@ -281,15 +279,13 @@ def generate_dataset(scene, positions=None, num_subcarriers: int = 128,
     f = subcarrier_frequencies(num_subcarriers, subcarrier_spacing_hz)
     ctx = EvalContext(scene)
     records = []
-    for pos in positions:
-        probe = probe_receiver(pos)
-        paths = compute_paths_between(scene, bvh, tx_dev, probe, max_depth,
-                                      method, num_rays)
+    for probe, paths in probe_paths(scene, bvh, tx_dev, positions, max_depth,
+                                    method, num_rays):
         gains = _central_gains(scene, bvh, ctx, tx_dev, probe, paths)
         h = np.zeros(num_subcarriers, dtype=np.complex128)
         for path, g in zip(paths, gains):
             h += g.to_complex() * np.exp(-2j * np.pi * f * path.delay_s)
-        records.append(DatasetRecord(position=np.asarray(pos, dtype=np.float64), h=h))
+        records.append(DatasetRecord(position=probe.position, h=h))
     return Dataset(frequency_hz=scene.frequency_hz,
                    num_subcarriers=num_subcarriers,
                    subcarrier_spacing_hz=subcarrier_spacing_hz,
@@ -306,9 +302,8 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
                     bvh=None) -> TrainLog:
     """Projected gradient descent on the dataset NMSE over trainable materials.
 
-    Path topology per record is refreshed every ``config.topology_refresh``
-    iterations. Materials whose parameters no path touches receive exact
-    zero gradients and stay bit-identical.
+    Record paths are traced once. Materials whose parameters no path
+    touches receive exact zero gradients and stay bit-identical.
     """
     config = config or OptimConfig()
     if bvh is None:
@@ -328,22 +323,17 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
         values[_SIG_KEY.format(n)] = float(m.sigma)
     leaf_names = sorted(values)
 
-    frozen = []  # per record: (probe, paths, materials per path, basis, target, norm2)
-
-    def refresh_topology():
-        frozen.clear()
-        for rec in dataset.records:
-            probe = probe_receiver(rec.position)
-            paths = compute_paths_between(scene, bvh, tx_dev, probe,
-                                          config.max_depth, config.method,
-                                          config.num_rays)
-            basis = np.exp(-2j * np.pi * f[:, None]
-                           * np.array([p.delay_s for p in paths])[None, :]) \
-                if paths else np.zeros((len(f), 0), dtype=np.complex128)
-            norm2 = float(np.vdot(rec.h, rec.h).real)
-            if norm2 <= 0.0:
-                raise OptimError("dataset record has zero-norm target response")
-            frozen.append((probe, paths, basis, rec.h, norm2))
+    frozen = []  # per record: (probe, paths, basis, target, norm2)
+    traced = probe_paths(scene, bvh, tx_dev, [r.position for r in dataset.records],
+                         config.max_depth, config.method, config.num_rays)
+    for rec, (probe, paths) in zip(dataset.records, traced):
+        basis = np.exp(-2j * np.pi * f[:, None]
+                       * np.array([p.delay_s for p in paths])[None, :]) \
+            if paths else np.zeros((len(f), 0), dtype=np.complex128)
+        norm2 = float(np.vdot(rec.h, rec.h).real)
+        if norm2 <= 0.0:
+            raise OptimError("dataset record has zero-norm target response")
+        frozen.append((probe, paths, basis, rec.h, norm2))
 
     def loss_fn(vals, tape=None):
         if tape is not None:
@@ -362,8 +352,6 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
     log = TrainLog(leaf_names)
     scale = 1.0
     for it in range(config.iterations):
-        if it % config.topology_refresh == 0:
-            refresh_topology()
         tape = Tape()
         loss = loss_fn(values, tape)
         loss_val = loss.value if isinstance(loss, DiffScalar) else float(loss)
@@ -402,15 +390,9 @@ def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = N
     keys = [f"dev:{tx_dev.name}:{k}" for k in _ANGLE_KEYS]
     values = dict(zip(keys, (float(a) for a in tx_dev.orientation)))
 
-    frozen_cells = []
-
-    def refresh_topology():
-        frozen_cells.clear()
-        for c in cells:
-            _, paths = point_path_gain(scene, bvh, tx_dev, c, config.max_depth,
-                                       config.method, config.num_rays,
-                                       tx_mode=tx_mode)
-            frozen_cells.append((c, paths))
+    frozen_cells = [(probe.position, paths) for probe, paths in probe_paths(
+        scene, bvh, tx_dev, cells, config.max_depth, config.method,
+        config.num_rays)]  # orientation never moves path geometry
 
     def objective_fn(vals, tape=None):
         if tape is not None:
@@ -432,7 +414,6 @@ def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = N
         return ad_log(objective_fn(vals, tape))
 
     log = TrainLog(keys)
-    refresh_topology()
     if all(len(p) == 0 for _, p in frozen_cells):
         warnings.warn("no propagation path reaches the target region; "
                       "orientation left unchanged")
@@ -442,8 +423,6 @@ def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = N
 
     scale = 1.0
     for it in range(config.iterations):
-        if it and it % config.topology_refresh == 0:
-            refresh_topology()
         tape = Tape()
         obj = objective_fn(values, tape)
         obj_val = obj.value if isinstance(obj, DiffScalar) else float(obj)

@@ -89,19 +89,14 @@ def _draw_line(img: np.ndarray, x0: float, y0: float, x1: float, y1: float, colo
             img[yi, xi] = color
 
 
-def render_paths(pathset, size: int = 512, background=None) -> np.ndarray:
+def render_paths(pathset, size: int = 512) -> np.ndarray:
     """Top-down orthographic overlay of path polylines (ground-plane projection).
 
     Each path is one polyline through its vertices' (x, y) coordinates,
     colored by its index; devices appear as endpoints of the polylines.
     """
-    if background is None:
-        img = np.zeros((size, size, 3), dtype=np.uint8)
-        img[:, :] = (24, 24, 32)
-    else:
-        img = background.copy()
-        size = None
-    h, w = img.shape[:2]
+    img = np.zeros((size, size, 3), dtype=np.uint8)
+    img[:, :] = (24, 24, 32)
     pts = np.vstack([p.vertices[:, :2] for p in pathset.paths]) \
         if pathset.paths else np.zeros((1, 2))
     lo = pts.min(axis=0)
@@ -112,8 +107,8 @@ def render_paths(pathset, size: int = 512, background=None) -> np.ndarray:
     span = span + 2 * margin
 
     def to_px(v):
-        x = (v[0] - lo[0]) / span * (w - 1)
-        y = (h - 1) - (v[1] - lo[1]) / span * (h - 1)
+        x = (v[0] - lo[0]) / span * (size - 1)
+        y = (size - 1) - (v[1] - lo[1]) / span * (size - 1)
         return x, y
 
     for i, p in enumerate(pathset.paths):

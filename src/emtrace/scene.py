@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import DiffComplex
-from .geometry import VACUUM_PERMITTIVITY, rotation_from_ypr
+from .geometry import VACUUM_PERMITTIVITY
 
 PATTERN_NAMES = ("iso", "dipole", "tr38901")
 POLARIZATIONS = ("V", "H", "VH", "cross")
@@ -197,9 +197,6 @@ class RadioDevice:
         if not np.isfinite(self.position).all():
             raise SceneError(f"device {self.name!r}: non-finite position")
 
-    def rotation(self) -> np.ndarray:
-        return rotation_from_ypr(*self.orientation)
-
 
 def look_at(device: RadioDevice, target) -> tuple:
     """Orient ``device`` so its boresight (+x after rotation) points at ``target``.
@@ -245,9 +242,6 @@ class Scene:
             if d.name == name:
                 return d
         raise SceneError(f"no device named {name!r}")
-
-    def array_for(self, device: RadioDevice) -> AntennaArray:
-        return self.tx_array if device.kind == "tx" else self.rx_array
 
     def validate(self):
         if self.frequency_hz <= 0:

@@ -2,12 +2,13 @@
 
 Candidate primitive sequences come either from exhaustive enumeration (all
 sequences up to a cap) or from launching rays along a Fibonacci lattice and
-recording the primitives each ray bounces off. For every candidate the image
-method mirrors the transmitter across the primitive planes and back-solves
-the interaction points so that the path arrives exactly at the receiver;
-candidates failing the barycentric, same-side or occlusion checks are
-dropped. Duplicates are removed, a possible LOS path is added, and the
-result is deterministically ordered.
+recording the primitives each ray bounces off; neither looks at a receiver,
+so one candidate set serves all receivers of a transmitter. For every
+candidate the image method mirrors the transmitter across the primitive
+planes and back-solves the interaction points so that the path arrives
+exactly at the receiver; candidates failing the barycentric, same-side or
+occlusion checks are dropped. A possible LOS path is added, and the result
+is deterministically ordered.
 
 Path topology (which primitives, which paths) is frozen per call. Between
 topology changes all geometric quantities are closed-form in the endpoint
@@ -265,39 +266,47 @@ def _merge_coincident(paths):
     return kept
 
 
-def compute_paths_between(scene, bvh: Bvh, tx_dev, rx_dev, max_depth: int,
-                          method: str = "exhaustive",
-                          num_rays: int = DEFAULT_NUM_RAYS):
-    """All valid paths from one tx to one rx, deduplicated and sorted."""
+def candidate_set(scene, bvh: Bvh, tx_pos, max_depth: int,
+                  method: str = "exhaustive",
+                  num_rays: int = DEFAULT_NUM_RAYS) -> list:
+    """Sorted, duplicate-free candidate sequences from one transmitter position."""
+    if method not in ("exhaustive", "fibonacci"):
+        raise TracerError(f"unknown path-finding method {method!r}")
+    if max_depth < 1 or not bvh.num_prims:
+        return []
+    if method == "exhaustive":  # unique by construction
+        return sorted(enumerate_candidates(bvh, max_depth))
+    return sorted(launch_candidates(scene, bvh, tx_pos, max_depth, num_rays))
+
+
+def solve_candidates(scene, bvh: Bvh, tx_dev, rx_dev, candidates) -> list:
+    """Valid paths from one tx to one rx over a shared candidate set, sorted."""
     paths = []
     los = los_path(scene, bvh, tx_dev, rx_dev)
     if los is not None:
         paths.append(los)
-    if max_depth >= 1 and bvh.num_prims:
-        if method == "exhaustive":
-            candidates = enumerate_candidates(bvh, max_depth)
-        elif method == "fibonacci":
-            candidates = launch_candidates(scene, bvh, tx_dev.position,
-                                           max_depth, num_rays)
-        else:
-            raise TracerError(f"unknown path-finding method {method!r}")
-        seen = set()
-        for seq in sorted(candidates):
-            if seq in seen:
-                continue
-            seen.add(seq)
-            p = image_solve(tx_dev.name, rx_dev.name, tx_dev.position,
-                            rx_dev.position, seq, bvh)
-            if p is not None:
-                paths.append(p)
+    for seq in candidates:
+        p = image_solve(tx_dev.name, rx_dev.name, tx_dev.position,
+                        rx_dev.position, seq, bvh)
+        if p is not None:
+            paths.append(p)
     paths = _merge_coincident(paths)
     paths.sort(key=lambda p: (0 if p.kind == "los" else 1, p.order, p.seq))
     return paths
 
 
+def compute_paths_between(scene, bvh: Bvh, tx_dev, rx_dev, max_depth: int,
+                          method: str = "exhaustive",
+                          num_rays: int = DEFAULT_NUM_RAYS):
+    """All valid paths from one tx to one rx, deduplicated and sorted."""
+    candidates = candidate_set(scene, bvh, tx_dev.position, max_depth, method,
+                               num_rays)
+    return solve_candidates(scene, bvh, tx_dev, rx_dev, candidates)
+
+
 def compute_paths(scene, bvh: Bvh, max_depth: int, method: str = "exhaustive",
                   num_rays: int = DEFAULT_NUM_RAYS) -> PathSet:
-    """Paths for every (tx, rx) device pair in the scene."""
+    """Paths for every (tx, rx) device pair, searching once per transmitter."""
     txs, rxs = scene.transmitters, scene.receivers
     if not txs or not rxs:
         raise TracerError("scene needs at least one transmitter and one receiver")
@@ -305,9 +314,10 @@ def compute_paths(scene, bvh: Bvh, max_depth: int, method: str = "exhaustive",
         raise TracerError("max_depth must be >= 0")
     all_paths = []
     for tx in txs:
+        candidates = candidate_set(scene, bvh, tx.position, max_depth, method,
+                                   num_rays)
         for rx in rxs:
-            all_paths.extend(compute_paths_between(scene, bvh, tx, rx,
-                                                   max_depth, method, num_rays))
+            all_paths.extend(solve_candidates(scene, bvh, tx, rx, candidates))
     return PathSet(scene=scene, max_depth=max_depth, method=method, paths=all_paths)
 
 

@@ -1,6 +1,7 @@
 """CIR packing, OFDM frequency response, coverage maps."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,12 @@ from conftest import ground_scene, make_scene, quad_object
 from emtrace import bvh as accel
 from emtrace.channel import (ChannelError, Cir, CoverageMap, GridSpec,
                              build_cir, coverage_map, frequency_response,
+                             point_path_gain, probe_receiver,
                              subcarrier_frequencies)
 from emtrace.em import compute_gains, geometry_from_path, path_materials, transfer
 from emtrace.em import EvalContext
-from emtrace.geometry import SPEED_OF_LIGHT
-from emtrace.scene import RadioDevice, RadioMaterial
+from emtrace.geometry import SPEED_OF_LIGHT, rotation_from_ypr
+from emtrace.scene import AntennaArray, RadioDevice, RadioMaterial
 from emtrace.tracer import compute_paths, compute_paths_between
 
 
@@ -218,6 +220,69 @@ class TestCoverage:
         grid = GridSpec(origin=(0, 0), cell_size=1.0, nx=1000, ny=1000)
         with pytest.raises(ChannelError, match="cap"):
             coverage_map(free_space_scene, tree, grid, 1, cell_cap=10)
+
+
+def test_fibonacci_coverage_launches_once(box_scene, monkeypatch):
+    from emtrace import tracer
+    tree = accel.build(box_scene)
+    grid = GridSpec(origin=(3.0, 2.0), cell_size=1.5, nx=2, ny=2, height=1.5)
+    launched = []
+    real = tracer.launch_candidates
+    monkeypatch.setattr(tracer, "launch_candidates",
+                        lambda *a, **k: launched.append(a[2]) or real(*a, **k))
+    cm = coverage_map(box_scene, tree, grid, max_depth=2, method="fibonacci",
+                      num_rays=256)
+    tx = box_scene.device("tx")
+    assert len(launched) == 1
+    assert np.array_equal(launched[0], tx.position)
+    for iy in range(grid.ny):
+        for ix in range(grid.nx):
+            g, paths = point_path_gain(box_scene, tree, tx, grid.cell_center(ix, iy),
+                                       2, method="fibonacci", num_rays=256)
+            assert paths
+            assert cm.gains[iy, ix] == float(g)
+
+
+class TestTxModeArray:
+    POINT = np.array([7.1, 5.9, 1.5])
+
+    def test_equals_per_element_coherent_sum(self, box_scene):
+        arr = AntennaArray(num_rows=2, num_cols=2, pattern="tr38901",
+                           polarization="VH")
+        tx = dataclasses.replace(box_scene.device("tx"), orientation=(0.4, -0.2, 0.1))
+        sc = dataclasses.replace(box_scene, tx_array=arr, devices=[tx])
+        tree = accel.build(sc)
+        g, paths = point_path_gain(sc, tree, tx, self.POINT, 2, tx_mode="array")
+        assert len(paths) > 1
+
+        probe = probe_receiver(self.POINT)
+        ctx = EvalContext(sc)
+        lam = sc.wavelength
+        offsets, slants = arr.element_layout(lam)
+        assert len(slants) == 8
+        world = offsets @ rotation_from_ypr(*tx.orientation).T
+        coherent = unphased = 0.0
+        for p in paths:
+            mats = path_materials(sc, tree, p)
+            geom = geometry_from_path(p)
+            phases = np.exp(2j * np.pi * (world @ np.asarray(geom.k_dep)) / lam)
+            for pol in ("_probe_theta", "_probe_phi"):
+                el = np.array([transfer(ctx, geom, mats, tx, probe, arr.pattern,
+                                        pol, float(s), 0.0).to_complex()
+                               for s in slants])
+                coherent += abs(np.sum(el * phases)) ** 2
+                unphased += abs(np.sum(el)) ** 2
+        assert float(g) == pytest.approx(coherent, rel=1e-9)
+        # the element phases matter at this point, so the check has teeth
+        assert abs(coherent - unphased) > 1e-3 * coherent
+
+    def test_single_element_equals_central(self, box_scene):
+        tree = accel.build(box_scene)
+        tx = box_scene.device("tx")
+        assert box_scene.tx_array.num_elements == 1
+        g_arr, _ = point_path_gain(box_scene, tree, tx, self.POINT, 2, tx_mode="array")
+        g_cen, _ = point_path_gain(box_scene, tree, tx, self.POINT, 2)
+        assert float(g_arr) == pytest.approx(float(g_cen), rel=1e-14)
 
 
 class TestCoverageIo:

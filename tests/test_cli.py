@@ -91,6 +91,15 @@ class TestCoverage:
         assert outs[0] == outs[1]
 
 
+    def test_tx_mode_array(self, tmp_path):
+        out = str(tmp_path / "cm.bin")
+        assert run(["coverage", "--scene", bundled_scene("orient"),
+                    "--max-depth", "1", "--grid", "2x2", "--cell", "5",
+                    "--tx-mode", "array", "--out", out]) == 0
+        cm = CoverageMap.load_binary(out)
+        assert (cm.gains > 0).all()
+
+
 class TestGenDataset:
     def test_writes_loadable_dataset(self, tmp_path):
         out = str(tmp_path / "d.json")

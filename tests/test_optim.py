@@ -220,6 +220,24 @@ class TestLearnMaterials:
                 learn_materials(init_scene, ds,
                                 OptimConfig(iterations=5, max_depth=1))
 
+    def test_traces_once_whatever_the_iteration_count(self, monkeypatch):
+        from emtrace import tracer
+        _, init_scene, ds = small_calibration_problem()
+        solves = []
+        real = tracer.image_solve
+        monkeypatch.setattr(tracer, "image_solve",
+                            lambda *a, **k: solves.append(a[4]) or real(*a, **k))
+        counts = []
+        for iterations in (5, 25):
+            solves.clear()
+            # rel_tol=0 keeps both runs going to their caps
+            log = learn_materials(init_scene, ds,
+                                  OptimConfig(iterations=iterations, max_depth=1,
+                                              rel_tol=0.0))
+            assert len(log.rows) == iterations
+            counts.append(len(solves))
+        assert counts[0] == counts[1] > 0
+
     def test_gradients_match_fd_at_random_iterates(self):
         # spec invariant: 1e-3 relative agreement at 5 random iterates
         _, init_scene, ds = small_calibration_problem()
@@ -279,6 +297,23 @@ class TestOrientation:
         target = target / np.linalg.norm(target)
         err = math.degrees(math.acos(min(1.0, float(bore @ target))))
         assert err < 1.0
+
+    def test_traces_once_whatever_the_iteration_count(self, monkeypatch):
+        from emtrace import tracer
+        sc = load_scene(bundled_scene("box"))
+        region = GridSpec(origin=(5.0, 3.0), cell_size=1.5, nx=2, ny=1, height=1.5)
+        solves = []
+        real = tracer.image_solve
+        monkeypatch.setattr(tracer, "image_solve",
+                            lambda *a, **k: solves.append(a[4]) or real(*a, **k))
+        counts = []
+        for iterations in (3, 12):
+            solves.clear()
+            log = optimize_orientation(sc, region, OptimConfig(
+                iterations=iterations, max_depth=1, rel_tol=0.0))
+            assert len(log.rows) == iterations
+            counts.append(len(solves))
+        assert counts[0] == counts[1] > 0
 
     def test_objective_non_decreasing(self):
         sc = load_scene(bundled_scene("orient"))

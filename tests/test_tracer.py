@@ -1,5 +1,6 @@
 """Path finding: LOS, image method, candidates, dedup, reciprocity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -283,3 +284,22 @@ class TestComputePaths:
     def test_unknown_method(self, two_ray_scene, two_ray_bvh):
         with pytest.raises(TracerError, match="method"):
             compute_paths(two_ray_scene, two_ray_bvh, 1, method="magic")
+
+
+def test_compute_paths_launches_once_per_transmitter(box_scene, monkeypatch):
+    from emtrace import tracer
+    tree = accel.build(box_scene)
+    txs = [RadioDevice("tx", "tx_a", np.array([2.3, 1.7, 1.1])),
+           RadioDevice("tx", "tx_b", np.array([8.0, 6.0, 3.0]))]
+    rxs = [RadioDevice("rx", f"rx{i}", np.array(p))
+           for i, p in enumerate([(7.1, 5.9, 2.2), (1.5, 6.5, 1.5), (5.0, 4.0, 3.5)])]
+    sc = dataclasses.replace(box_scene, devices=txs + rxs)
+    launched = []
+    real = tracer.launch_candidates
+    monkeypatch.setattr(tracer, "launch_candidates",
+                        lambda *a, **k: launched.append(a[2]) or real(*a, **k))
+    ps = compute_paths(sc, tree, 2, method="fibonacci", num_rays=256)
+    assert len(launched) == 2
+    for got, tx in zip(launched, txs):
+        assert np.array_equal(got, tx.position)
+    assert {(p.tx, p.rx) for p in ps.paths} == {(t.name, r.name) for t in txs for r in rxs}
