@@ -2,8 +2,10 @@
 
 The tree is a deterministic median split on the longest centroid axis.
 Traversal and the Moller-Trumbore leaf test run on plain Python floats:
-at desk scale the per-call overhead of vectorizing tiny leaves exceeds the
-arithmetic, and scalar code keeps queries allocation-free.
+a query visits a few tiny leaves, where the per-call overhead of numpy
+exceeds the arithmetic, and scalar code keeps queries allocation-free.
+Work over many primitives at once, such as the batched image solve that
+reads :attr:`Bvh.solve_table`, is numpy.
 """
 
 from __future__ import annotations
@@ -42,6 +44,17 @@ class Bvh:
         # plane offset c with n.x = c on the triangle's plane
         self.plane_offset = (np.einsum("ij,ij->i", self.normals, v0)
                              if len(v0) else np.zeros(0))
+        # per-primitive constants of the batched image solve, one row per
+        # quantity, so gathering columns by primitive id yields contiguous
+        # rows: normal (3), plane offset, v0 (3), e1 (3), e2 (3) and the
+        # Gram terms d11, d12, d22, den of the barycentric test
+        (ax, ay, az), (bx, by, bz) = e1.T, e2.T
+        d11 = ax * ax + ay * ay + az * az
+        d12 = ax * bx + ay * by + az * bz
+        d22 = bx * bx + by * by + bz * bz
+        self.solve_table = np.vstack([
+            self.normals.T, self.plane_offset, v0.T, e1.T, e2.T,
+            d11, d12, d22, d11 * d22 - d12 * d12])
 
         self._nodes = []  # (min3, max3, a, b, is_leaf): leaf -> prims[a:b]
         self._order = np.arange(self.num_prims)

@@ -313,6 +313,8 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
         raise OptimError("scene has no trainable materials")
     if abs(dataset.frequency_hz - scene.frequency_hz) > 1e-6 * scene.frequency_hz:
         raise OptimError("dataset and scene carrier frequencies differ")
+    if not dataset.records:
+        raise OptimError("dataset 'records' is empty")
     tx_dev = scene.transmitters[0]
     f = subcarrier_frequencies(dataset.num_subcarriers, dataset.subcarrier_spacing_hz)
 

@@ -194,6 +194,10 @@ class RadioDevice:
     def validate(self):
         if self.kind not in ("tx", "rx"):
             raise SceneError(f"device {self.name!r}: kind must be 'tx' or 'rx'")
+        for key, value in (("position_m", self.position), ("velocity_mps", self.velocity)):
+            if np.shape(value) != (3,):
+                raise SceneError(f"device {self.name!r}: {key} must have 3 values, "
+                                 f"got {np.size(value)}")
         if not np.isfinite(self.position).all():
             raise SceneError(f"device {self.name!r}: non-finite position")
 
@@ -244,8 +248,8 @@ class Scene:
         raise SceneError(f"no device named {name!r}")
 
     def validate(self):
-        if self.frequency_hz <= 0:
-            raise SceneError("frequency_hz must be positive")
+        if not (math.isfinite(self.frequency_hz) and self.frequency_hz > 0):
+            raise SceneError("frequency_hz must be positive and finite")
         for m in self.materials.values():
             m.validate()
         for o in self.objects:

@@ -3,12 +3,17 @@
 Candidate primitive sequences come either from exhaustive enumeration (all
 sequences up to a cap) or from launching rays along a Fibonacci lattice and
 recording the primitives each ray bounces off; neither looks at a receiver,
-so one candidate set serves all receivers of a transmitter. For every
-candidate the image method mirrors the transmitter across the primitive
-planes and back-solves the interaction points so that the path arrives
-exactly at the receiver; candidates failing the barycentric, same-side or
-occlusion checks are dropped. A possible LOS path is added, and the result
-is deterministically ordered.
+so one candidate set serves all receivers of a transmitter. The set is kept
+as one int array of primitive ids per order, built once per transmitter.
+
+For every receiver the image method mirrors the transmitter across each
+candidate's planes and back-solves the interaction points so that the path
+arrives exactly at the receiver. The solve and its parallel, segment
+fraction, barycentric, same-side and segment-length checks run as one numpy
+pass over a chunk of candidates (:data:`CHUNK`, which bounds the
+temporaries); only the few survivors are tested for occlusion and turned
+into paths. A possible LOS path is added, and the result is
+deterministically ordered.
 
 Path topology (which primitives, which paths) is frozen per call. Between
 topology changes all geometric quantities are closed-form in the endpoint
@@ -17,6 +22,7 @@ positions, which is what :func:`solve_points` exposes for gradient work.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +35,7 @@ from .geometry import SPEED_OF_LIGHT, t_add, t_dot, t_scale, t_sub
 ENUM_CAP = 10_000_000  # max primitive_count ** max_depth for exhaustive mode
 DEFAULT_NUM_RAYS = 4096
 MERGE_TOL = 1e-6  # meters; paths with all vertices this close are one path
+CHUNK = 2048  # candidates per numpy pass of the image solve
 _BARY_TOL = 1e-9
 _SIDE_TOL = 1e-12
 
@@ -134,18 +141,74 @@ def path_from_points(tx_name, rx_name, seq, tx, rx, points, bvh: Bvh):
     )
 
 
-def _inside_triangle(bvh: Bvh, prim: int, p) -> bool:
-    w = np.asarray(p) - bvh.v0[prim]
-    e1, e2 = bvh.e1[prim], bvh.e2[prim]
-    d11 = float(e1 @ e1)
-    d12 = float(e1 @ e2)
-    d22 = float(e2 @ e2)
-    w1 = float(w @ e1)
-    w2 = float(w @ e2)
-    den = d11 * d22 - d12 * d12
-    u = (d22 * w1 - d12 * w2) / den
-    v = (d11 * w2 - d12 * w1) / den
-    return u >= -_BARY_TOL and v >= -_BARY_TOL and u + v <= 1.0 + _BARY_TOL
+def _dot(a, b):
+    """Row-wise dot product of [3, m] arrays, summed as :func:`t_dot` does."""
+    p = a * b
+    return p[0] + p[1] + p[2]
+
+
+def _solve_batch(tx, rx, seqs, bvh: Bvh):
+    """Image solve of the candidates ``seqs`` (int [order, m]) as one pass.
+
+    Returns (ok [m], points [order, 3, m]): ok marks the candidates whose
+    segments are not parallel to their planes, whose segment fractions lie
+    in (0, 1), whose points lie inside their triangles, whose neighbouring
+    vertices sit on the same side of each plane (reflection, not
+    transmission) and whose segments are longer than 2 RAY_EPS. Occlusion
+    is not tested. The arithmetic is that of :func:`solve_points`, term by
+    term, so the points equal its floats bit for bit.
+    """
+    order, m = seqs.shape
+    planes = [(t[:3], t[3]) for t in (bvh.solve_table[:4, prims] for prims in seqs)]
+    tx, rx = (np.asarray(p, dtype=np.float64).reshape(3, 1) for p in (tx, rx))
+    images = []
+    image = tx
+    for n, c in planes:
+        image = image - n * (2.0 * (_dot(image, n) - c))
+        images.append(image)
+    ok = np.ones(m, dtype=bool)
+    points = np.empty((order, 3, m))
+    cur = rx
+    for k in range(order - 1, -1, -1):
+        n, c = planes[k]
+        tri = bvh.solve_table[4:, seqs[k]]
+        v0, e1, e2, (d11, d12, d22, den) = tri[0:3], tri[3:6], tri[6:9], tri[9:]
+        seg = images[k] - cur
+        denom = _dot(seg, n)
+        parallel = np.abs(denom) < 1e-15
+        s = (c - _dot(cur, n)) / np.where(parallel, 1.0, denom)
+        cur = points[k] = cur + seg * s
+        w = cur - v0
+        w1, w2 = _dot(w, e1), _dot(w, e2)
+        u = (d22 * w1 - d12 * w2) / den
+        v = (d11 * w2 - d12 * w1) / den
+        ok &= ~parallel & (1e-12 < s) & (s < 1.0 - 1e-12)
+        ok &= (u >= -_BARY_TOL) & (v >= -_BARY_TOL) & (u + v <= 1.0 + _BARY_TOL)
+    chain = [tx, *points, rx]
+    for k, (n, c) in enumerate(planes):
+        ok &= (_dot(chain[k], n) - c) * (_dot(chain[k + 2], n) - c) > _SIDE_TOL
+    for a, b in zip(chain[:-1], chain[1:]):
+        d = b - a
+        ok &= np.sqrt(_dot(d, d)) > 2 * RAY_EPS
+    return ok, points
+
+
+def _solve_paths(tx_name, rx_name, tx, rx, seqs, bvh: Bvh) -> list:
+    """Valid paths among the candidates ``seqs``, in column order.
+
+    Solves :data:`CHUNK` candidates per pass; only the survivors of the
+    geometric checks are tested for occlusion.
+    """
+    paths = []
+    for lo in range(0, seqs.shape[1], CHUNK):
+        ok, points = _solve_batch(tx, rx, seqs[:, lo:lo + CHUNK], bvh)
+        for j in np.flatnonzero(ok):
+            pts = list(points[:, :, j])
+            chain = [tx, *pts, rx]
+            if not any(bvh.occluded(a, b) for a, b in zip(chain[:-1], chain[1:])):
+                paths.append(path_from_points(tx_name, rx_name, seqs[:, lo + j],
+                                              tx, rx, pts, bvh))
+    return paths
 
 
 def image_solve(tx_name, rx_name, tx_pos, rx_pos, seq, bvh: Bvh):
@@ -156,32 +219,9 @@ def image_solve(tx_name, rx_name, tx_pos, rx_pos, seq, bvh: Bvh):
     every segment crossing is a proper reflection (segment fraction in
     (0, 1)), and no segment is occluded.
     """
-    tx = (float(tx_pos[0]), float(tx_pos[1]), float(tx_pos[2]))
-    rx = (float(rx_pos[0]), float(rx_pos[1]), float(rx_pos[2]))
-    planes = [(tuple(bvh.normals[p]), float(bvh.plane_offset[p])) for p in seq]
-    points, params = solve_points(tx, rx, planes)
-    if points is None:
-        return None
-    for s in params:
-        if not (1e-12 < s < 1.0 - 1e-12):
-            return None
-    for k, prim in enumerate(seq):
-        if not _inside_triangle(bvh, prim, points[k]):
-            return None
-    # reflection, not transmission: both neighbours on the same plane side
-    chain = [tx] + points + [rx]
-    for k, (n, c) in enumerate(planes):
-        before = t_dot(chain[k], n) - c
-        after = t_dot(chain[k + 2], n) - c
-        if before * after <= _SIDE_TOL:
-            return None
-    for a, b in zip(chain[:-1], chain[1:]):
-        d = math.dist(a, b)
-        if d <= 2 * RAY_EPS:
-            return None
-        if bvh.occluded(a, b):
-            return None
-    return path_from_points(tx_name, rx_name, seq, tx, rx, points, bvh)
+    seqs = np.array(seq, dtype=np.int32).reshape(len(seq), 1)
+    paths = _solve_paths(tx_name, rx_name, tx_pos, rx_pos, seqs, bvh)
+    return paths[0] if paths else None
 
 
 def los_path(scene, bvh: Bvh, tx_dev, rx_dev):
@@ -194,8 +234,11 @@ def los_path(scene, bvh: Bvh, tx_dev, rx_dev):
                             rx_dev.position, [], bvh)
 
 
-def enumerate_candidates(bvh: Bvh, max_depth: int, cap: int = ENUM_CAP):
-    """All primitive sequences of length 1..max_depth, no immediate repeats."""
+def _enumerated_groups(bvh: Bvh, max_depth: int, cap: int = ENUM_CAP) -> list:
+    """All sequences of 1..max_depth primitives without immediate repeats.
+
+    One int array [order, m] per order, its columns in lexicographic order.
+    """
     if max_depth < 1:
         raise TracerError("max_depth must be >= 1 for candidate enumeration")
     n = bvh.num_prims
@@ -206,13 +249,21 @@ def enumerate_candidates(bvh: Bvh, max_depth: int, cap: int = ENUM_CAP):
             f"exhaustive enumeration of {n} primitives at depth {max_depth} "
             f"exceeds the cap of {cap:.0e} sequences; use the fibonacci "
             "ray-launching method instead")
-    out = []
-    frontier = [(p,) for p in range(n)]
-    out.extend(frontier)
+    seqs = np.arange(n, dtype=np.int32)[None, :]
+    groups = [seqs]
+    others = np.arange(n - 1, dtype=np.int32)
     for _ in range(max_depth - 1):
-        frontier = [s + (p,) for s in frontier for p in range(n) if p != s[-1]]
-        out.extend(frontier)
-    return out
+        # each column, in order, followed by every primitive but its last one
+        tails = others[None, :] + (others[None, :] >= seqs[-1][:, None])
+        seqs = np.vstack([np.repeat(seqs, n - 1, axis=1), tails.ravel()])
+        groups.append(seqs)
+    return groups
+
+
+def enumerate_candidates(bvh: Bvh, max_depth: int, cap: int = ENUM_CAP):
+    """All primitive sequences of length 1..max_depth, no immediate repeats."""
+    return [seq for seqs in _enumerated_groups(bvh, max_depth, cap)
+            for seq in zip(*seqs.tolist())]
 
 
 def launch_candidates(scene, bvh: Bvh, tx_pos, max_depth: int,
@@ -269,27 +320,36 @@ def _merge_coincident(paths):
 def candidate_set(scene, bvh: Bvh, tx_pos, max_depth: int,
                   method: str = "exhaustive",
                   num_rays: int = DEFAULT_NUM_RAYS) -> list:
-    """Sorted, duplicate-free candidate sequences from one transmitter position."""
+    """Duplicate-free candidate sequences from one transmitter position.
+
+    Returns one int array [order, m] per order, by ascending order, whose
+    columns are the sequences in lexicographic order.
+    """
     if method not in ("exhaustive", "fibonacci"):
         raise TracerError(f"unknown path-finding method {method!r}")
     if max_depth < 1 or not bvh.num_prims:
         return []
-    if method == "exhaustive":  # unique by construction
-        return sorted(enumerate_candidates(bvh, max_depth))
-    return sorted(launch_candidates(scene, bvh, tx_pos, max_depth, num_rays))
+    if method == "exhaustive":  # unique by construction, no tuples made
+        return _enumerated_groups(bvh, max_depth)
+    found = sorted(launch_candidates(scene, bvh, tx_pos, max_depth, num_rays))
+    found.sort(key=len)  # stable: by order, lexicographic within each order
+    return [np.fromiter(itertools.chain.from_iterable(group), dtype=np.int32)
+            .reshape(-1, order).T
+            for order, group in itertools.groupby(found, key=len)]
 
 
 def solve_candidates(scene, bvh: Bvh, tx_dev, rx_dev, candidates) -> list:
-    """Valid paths from one tx to one rx over a shared candidate set, sorted."""
+    """Valid paths from one tx to one rx, sorted.
+
+    ``candidates`` is the :func:`candidate_set` of ``tx_dev``'s position.
+    """
     paths = []
     los = los_path(scene, bvh, tx_dev, rx_dev)
     if los is not None:
         paths.append(los)
-    for seq in candidates:
-        p = image_solve(tx_dev.name, rx_dev.name, tx_dev.position,
-                        rx_dev.position, seq, bvh)
-        if p is not None:
-            paths.append(p)
+    for seqs in candidates:
+        paths += _solve_paths(tx_dev.name, rx_dev.name, tx_dev.position,
+                              rx_dev.position, seqs, bvh)
     paths = _merge_coincident(paths)
     paths.sort(key=lambda p: (0 if p.kind == "los" else 1, p.order, p.seq))
     return paths

@@ -1,8 +1,10 @@
 """CLI subcommands: outputs, exit codes, determinism, flag documentation."""
 
+import json
 import os
 
 import numpy as np
+import pytest
 
 from emtrace import cli
 from emtrace.channel import CoverageMap
@@ -53,6 +55,20 @@ class TestTrace:
                   "--grid", "bogus", "--cell", "5",
                   "--out", str(tmp_path / "c.bin")])
         assert rc == 1
+
+    @pytest.mark.parametrize("field, edit", [
+        ("frequency_hz", lambda d: d.update(frequency_hz=float("nan"))),
+        ("position_m", lambda d: d["devices"][0].update(position_m=[0.0, 0.0])),
+        ("velocity_mps", lambda d: d["devices"][1].update(velocity_mps=[1.0, 2.0])),
+    ])
+    def test_malformed_scene_field_exit_1(self, tmp_path, capsys, field, edit):
+        data = json.load(open(bundled_scene("two_ray")))
+        edit(data)
+        scene = tmp_path / "bad.scene"
+        scene.write_text(json.dumps(data))
+        rc = run(["trace", "--scene", str(scene), "--out", str(tmp_path / "x.txt")])
+        assert rc == 1
+        assert field in capsys.readouterr().err
 
     def test_internal_error_exit_2(self, tmp_path, capsys, monkeypatch):
         def boom(*a, **k):
@@ -129,6 +145,16 @@ class TestCalibrate:
         head = blobs[0][0].decode().splitlines()[0]
         assert head.startswith("iteration,loss,")
 
+    def test_empty_dataset_exit_1(self, tmp_path, capsys):
+        ds_path = tmp_path / "empty.json"
+        ds_path.write_text(json.dumps({"frequency_hz": 3.5e9, "num_subcarriers": 8,
+                                       "subcarrier_spacing_hz": 30e3, "records": []}))
+        rc = run(["calibrate", "--scene", bundled_scene("calib_init"),
+                  "--dataset", str(ds_path), "--out", str(tmp_path / "c.json"),
+                  "--log", str(tmp_path / "l.txt")])
+        assert rc == 1
+        assert "records" in capsys.readouterr().err
+
 
 class TestOrient:
     def test_runs_and_logs(self, tmp_path):
@@ -141,7 +167,6 @@ class TestOrient:
         rows = open(log).read().strip().splitlines()
         assert rows[0] == "iteration,loss,dev:tx:yaw,dev:tx:pitch,dev:tx:roll"
         assert len(rows) >= 3
-        import json
         ypr = json.load(open(out))
         assert set(ypr) == {"dev:tx:pitch", "dev:tx:roll", "dev:tx:yaw"}
 

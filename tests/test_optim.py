@@ -223,10 +223,10 @@ class TestLearnMaterials:
     def test_traces_once_whatever_the_iteration_count(self, monkeypatch):
         from emtrace import tracer
         _, init_scene, ds = small_calibration_problem()
-        solves = []
-        real = tracer.image_solve
-        monkeypatch.setattr(tracer, "image_solve",
-                            lambda *a, **k: solves.append(a[4]) or real(*a, **k))
+        solves = []  # candidates per batched solve
+        real = tracer._solve_batch
+        monkeypatch.setattr(tracer, "_solve_batch",
+                            lambda *a: solves.append(a[2].shape[1]) or real(*a))
         counts = []
         for iterations in (5, 25):
             solves.clear()
@@ -235,7 +235,7 @@ class TestLearnMaterials:
                                   OptimConfig(iterations=iterations, max_depth=1,
                                               rel_tol=0.0))
             assert len(log.rows) == iterations
-            counts.append(len(solves))
+            counts.append(sum(solves))
         assert counts[0] == counts[1] > 0
 
     def test_gradients_match_fd_at_random_iterates(self):
@@ -302,17 +302,17 @@ class TestOrientation:
         from emtrace import tracer
         sc = load_scene(bundled_scene("box"))
         region = GridSpec(origin=(5.0, 3.0), cell_size=1.5, nx=2, ny=1, height=1.5)
-        solves = []
-        real = tracer.image_solve
-        monkeypatch.setattr(tracer, "image_solve",
-                            lambda *a, **k: solves.append(a[4]) or real(*a, **k))
+        solves = []  # candidates per batched solve
+        real = tracer._solve_batch
+        monkeypatch.setattr(tracer, "_solve_batch",
+                            lambda *a: solves.append(a[2].shape[1]) or real(*a))
         counts = []
         for iterations in (3, 12):
             solves.clear()
             log = optimize_orientation(sc, region, OptimConfig(
                 iterations=iterations, max_depth=1, rel_tol=0.0))
             assert len(log.rows) == iterations
-            counts.append(len(solves))
+            counts.append(sum(solves))
         assert counts[0] == counts[1] > 0
 
     def test_objective_non_decreasing(self):

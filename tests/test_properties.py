@@ -10,11 +10,14 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_first_hit, make_scene, quad_object
 from emtrace import bvh as accel
-from emtrace.scene import RadioDevice, bundled_scene, load_scene
-from emtrace.tracer import MERGE_TOL, compute_paths, compute_paths_between
+from emtrace.scene import RadioDevice, RadioMaterial, bundled_scene, load_scene
+from emtrace.tracer import (CHUNK, MERGE_TOL, _solve_paths, candidate_set,
+                            compute_paths, compute_paths_between,
+                            enumerate_candidates, image_solve, solve_points)
 
-BOX = load_scene(bundled_scene("box"))  # a closed 10 x 8 x 4 m room
+BOX = load_scene(bundled_scene("box"))  # a 10 x 8 x 4 m room without a ceiling
 TREE = accel.build(BOX)
 NUM_RAYS = 256
 
@@ -45,3 +48,88 @@ def test_shared_candidates_match_per_pair_and_fibonacci_within_exhaustive(tx, rx
         assert any(q.rx == p.rx and q.order == p.order
                    and np.max(np.abs(q.vertices - p.vertices)) < MERGE_TOL
                    for q in found["exhaustive"])
+
+
+def _reference_accepts(tx, rx, seq):
+    """Per-candidate image solve with explicit checks; brute-force occlusion."""
+    planes = [(tuple(float(x) for x in TREE.normals[p]), float(TREE.plane_offset[p]))
+              for p in seq]
+    points, params = solve_points(tx, rx, planes)
+    if points is None or not all(1e-12 < s < 1.0 - 1e-12 for s in params):
+        return None
+    for prim, p in zip(seq, points):
+        o, a, b = TREE.v0[prim], TREE.e1[prim], TREE.e2[prim]
+        w = [p[i] - o[i] for i in range(3)]
+        d11 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+        d12 = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+        d22 = b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
+        w1 = w[0] * a[0] + w[1] * a[1] + w[2] * a[2]
+        w2 = w[0] * b[0] + w[1] * b[1] + w[2] * b[2]
+        den = d11 * d22 - d12 * d12
+        u = (d22 * w1 - d12 * w2) / den
+        v = (d11 * w2 - d12 * w1) / den
+        if not (u >= -1e-9 and v >= -1e-9 and u + v <= 1.0 + 1e-9):
+            return None
+    chain = [tx, *points, rx]
+    for k, (n, c) in enumerate(planes):
+        side = [sum(q[i] * n[i] for i in range(3)) - c for q in (chain[k], chain[k + 2])]
+        if side[0] * side[1] <= 1e-12:
+            return None
+    for a, b in zip(chain[:-1], chain[1:]):
+        d = np.subtract(b, a)
+        dist = float(np.linalg.norm(d))
+        if dist <= 2 * accel.RAY_EPS or brute_force_first_hit(
+                BOX, a, d / dist, accel.RAY_EPS, dist - accel.RAY_EPS) is not None:
+            return None
+    return points
+
+
+def _batched_paths(scene, tree, tx, rx, max_depth):
+    """Accepted paths of the batched solver, before coincident paths merge."""
+    return [p for seqs in candidate_set(scene, tree, tx, max_depth)
+            for p in _solve_paths("tx", "rx", tuple(tx), tuple(rx), seqs, tree)]
+
+
+def _off_faces(lo, hi, size):  # a coordinate at least 5 cm off the box faces
+    return st.one_of(st.floats(lo, -0.05), st.floats(0.05, size - 0.05),
+                     st.floats(size + 0.05, hi))
+
+
+# in and around the open-topped box, so that transmissions through a wall
+# and reflections seen from outside are candidates too
+around_box = st.tuples(_off_faces(-4.0, 14.0, 10.0), _off_faces(-4.0, 12.0, 8.0),
+                       _off_faces(-2.0, 7.0, 4.0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(tx=around_box, rx=around_box)
+def test_batched_solve_matches_per_candidate_reference(tx, rx):
+    assume(np.linalg.norm(np.subtract(tx, rx)) > 0.1)
+    accepted = {}
+    for seq in enumerate_candidates(TREE, 2):
+        points = _reference_accepts(tx, rx, seq)
+        if points is not None:
+            accepted[seq] = points
+    paths = _batched_paths(BOX, TREE, tx, rx, 2)
+    assert sorted(p.seq for p in paths) == sorted(accepted)
+    for p in paths:  # the batched points are solve_points' floats, bit for bit
+        assert p.vertices[1:-1].tobytes() == np.array(accepted[p.seq]).tobytes()
+
+
+def test_candidates_beyond_one_chunk_match_one_candidate_solves():
+    # two facing walls of 12 quads each: 48 triangles, 2256 order-2 candidates
+    walls = [quad_object(f"w{x}_{i}", "wall", [(x, i, 0), (x, i + 1, 0),
+                                               (x, i + 1, 3), (x, i, 3)])
+             for x in (0.0, 6.0) for i in range(12)]
+    scene = make_scene(objects=walls, materials=[RadioMaterial("wall", "constant")])
+    tree = accel.build(scene)
+    tx, rx = (1.5, 11.2, 1.4), (4.0, 10.1, 1.7)
+    groups = candidate_set(scene, tree, tx, 2)
+    assert groups[-1].shape[1] > CHUNK
+    batched = _batched_paths(scene, tree, tx, rx, 2)
+    single = [p for seqs in groups for seq in seqs.T.tolist()
+              if (p := image_solve("tx", "rx", tx, rx, seq, tree)) is not None]
+    assert [_key(p) for p in batched] == [_key(p) for p in single]
+    # some accepted candidate sits in the second chunk of its group
+    order2 = groups[-1].T.tolist()
+    assert any(order2.index(list(p.seq)) >= CHUNK for p in batched if p.order == 2)
