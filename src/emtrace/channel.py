@@ -8,12 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import DiffComplex
-from .em import EvalContext, path_geometry, path_materials, synthetic_phase, transfer
+from .em import EvalContext, element_gains, synthetic_phase
 from .geometry import mat_vec
 from .scene import RadioDevice
 from .tracer import candidate_set, compute_paths_between, solve_candidates
 
 PROBE_NAME = "__probe__"
+# orthonormal theta/phi polarization pair of the arrival direction
+_PROBES = [("_probe_theta", 0.0), ("_probe_phi", 0.0)]
 COVERAGE_MAGIC = "emtrace-coverage-v1"
 
 
@@ -219,26 +221,23 @@ def point_path_gain(scene, bvh, tx_dev, point, max_depth: int,
         frozen_paths = compute_paths_between(scene, bvh, tx_dev, probe,
                                              max_depth, method, num_rays)
     tx_arr = scene.tx_array
-    lam = scene.wavelength
+    if tx_mode == "central":
+        tx_elements = [(tx_arr.pattern, tx_arr.slants[0])]
+    elif tx_mode == "array":
+        offsets, slants = tx_arr.element_layout(scene.wavelength)
+        rows = ctx.rotation_rows(tx_dev)
+        offsets_w = [mat_vec(rows, o.tolist()) for o in offsets]
+        tx_elements = [(tx_arr.pattern, float(s)) for s in slants]
+    else:
+        raise ChannelError(f"unknown tx_mode {tx_mode!r}")
     gain = 0.0
     for path in frozen_paths:
-        mats = path_materials(scene, bvh, path)
-        geom = path_geometry(ctx, path, tx_dev, probe)
-        for probe_pattern in ("_probe_theta", "_probe_phi"):
-            if tx_mode == "central":
-                a = transfer(ctx, geom, mats, tx_dev, probe, tx_arr.pattern,
-                             probe_pattern, tx_arr.slants[0], 0.0)
-            elif tx_mode == "array":
-                offsets, slants = tx_arr.element_layout(lam)
-                rows = ctx.rotation_rows(tx_dev)
-                a = DiffComplex(0.0, 0.0)
-                for off, slant in zip(offsets, slants):
-                    off_w = mat_vec(rows, (float(off[0]), float(off[1]), float(off[2])))
-                    el = transfer(ctx, geom, mats, tx_dev, probe,
-                                  tx_arr.pattern, probe_pattern, float(slant), 0.0)
-                    a = a + el * synthetic_phase(geom.k_dep, off_w, lam)
-            else:
-                raise ChannelError(f"unknown tx_mode {tx_mode!r}")
+        geom, g = element_gains(ctx, bvh, path, tx_dev, probe, tx_elements, _PROBES)
+        if tx_mode == "array":  # coherent sum at the elements' plane-wave phases
+            phases = [synthetic_phase(geom.k_dep, o, scene.wavelength) for o in offsets_w]
+            g = [[sum((el * ph for el, ph in zip(row, phases)), DiffComplex(0.0, 0.0))]
+                 for row in g]
+        for (a,) in g:  # one row per probe polarization
             gain = gain + a.abs2()
     return gain, frozen_paths
 

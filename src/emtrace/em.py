@@ -3,7 +3,10 @@
 Converts path geometry into complex gains: antenna pattern evaluation in
 the rotated device frame, Fresnel reflection in the per-segment TE/TM basis
 with explicit basis rotations between segments, free-space spreading,
-plane-wave array phase shifts, and Doppler time evolution.
+plane-wave array phase shifts, and Doppler time evolution. Every path
+coefficient comes from :func:`element_gains`, the one caller of
+:func:`transfer`; explicit arrays re-solve all element pairs of a path in
+one batched image solve.
 
 All field math runs on scalar-generic tuples, so the same code produces
 plain floats for forward simulation and tape-recorded scalars when material
@@ -27,7 +30,7 @@ from .geometry import (SPEED_OF_LIGHT, mat_t_vec, mat_vec, rotation_entries,
                        spherical_angles, t_cross, t_dot, t_norm, t_normalize,
                        t_scale, t_sub)
 from .scene import material_eval
-from .tracer import image_solve, path_from_points, solve_points
+from .tracer import _solve_paths, solve_points
 
 TWO_PI = 2.0 * math.pi
 _LN10_OVER_20 = math.log(10.0) / 20.0
@@ -281,12 +284,6 @@ def geometry_for_positions(path, tx_pos, rx_pos) -> PathGeometry:
     )
 
 
-def path_geometry(ctx: EvalContext, path, tx_dev, rx_dev) -> PathGeometry:
-    if ctx.has_tracked_position(tx_dev) or ctx.has_tracked_position(rx_dev):
-        return geometry_for_positions(path, ctx.position(tx_dev), ctx.position(rx_dev))
-    return geometry_from_path(path)
-
-
 def transfer(ctx: EvalContext, geom: PathGeometry, materials,
              tx_dev, rx_dev, tx_pattern: str, rx_pattern: str,
              tx_slant: float, rx_slant: float) -> DiffComplex:
@@ -314,6 +311,25 @@ def transfer(ctx: EvalContext, geom: PathGeometry, materials,
 def path_materials(scene, bvh, path) -> tuple:
     """Material name per interaction of a path."""
     return tuple(scene.objects[bvh.prim_object[p]].material for p in path.seq)
+
+
+def element_gains(ctx: EvalContext, bvh, path, tx_dev, rx_dev,
+                  tx_elements, rx_elements):
+    """(geometry, gains) of one path; gains[i][j] couples rx and tx elements.
+
+    Elements are (pattern name, slant) pairs at the device centers; device
+    positions tracked in ``ctx`` re-derive the geometry for the moved
+    endpoints. This is the one place where path coefficients are evaluated.
+    """
+    if ctx.has_tracked_position(tx_dev) or ctx.has_tracked_position(rx_dev):
+        geom = geometry_for_positions(path, ctx.position(tx_dev), ctx.position(rx_dev))
+    else:
+        geom = geometry_from_path(path)
+    mats = path_materials(ctx.scene, bvh, path)
+    return geom, [[transfer(ctx, geom, mats, tx_dev, rx_dev, tx_pat, rx_pat,
+                            tx_slant, rx_slant)
+                   for tx_pat, tx_slant in tx_elements]
+                  for rx_pat, rx_slant in rx_elements]
 
 
 # -- channel gains for full arrays -------------------------------------------
@@ -359,49 +375,42 @@ def compute_gains(scene, bvh, pathset, ctx: EvalContext | None = None) -> Channe
     """Complex gains for every path and antenna element pair.
 
     With ``scene.synthetic_array`` the per-element response is the center
-    path times plane-wave phase shifts; otherwise the image solve is re-run
-    for every element pair (and LOS visibility re-checked per pair).
+    path times plane-wave phase shifts; otherwise every element pair's path
+    is re-solved, LOS and reflections alike, in one batched solve per path.
     """
     if ctx is None:
         ctx = EvalContext(scene)
     lam = scene.wavelength
     entries = []
     for tx_dev in scene.transmitters:
-        tx_arr = scene.tx_array
-        off_tx, slants_tx = tx_arr.element_layout(lam)
+        off_tx, slants_tx = scene.tx_array.element_layout(lam)
         r_tx = np.array(ctx.rotation_rows(tx_dev), dtype=np.float64)
         off_tx_w = off_tx @ r_tx.T
         for rx_dev in scene.receivers:
-            rx_arr = scene.rx_array
-            off_rx, slants_rx = rx_arr.element_layout(lam)
+            off_rx, slants_rx = scene.rx_array.element_layout(lam)
             r_rx = np.array(ctx.rotation_rows(rx_dev), dtype=np.float64)
             off_rx_w = off_rx @ r_rx.T
             paths = pathset.between(tx_dev.name, rx_dev.name)
             if paths and scene.synthetic_array:
                 _fraunhofer_check(scene, tx_dev, rx_dev, off_tx_w, off_rx_w,
                                   min(p.length_m for p in paths))
+            gain = _gain_synthetic if scene.synthetic_array else _gain_explicit
             for path in paths:
-                mats = path_materials(scene, bvh, path)
-                if scene.synthetic_array:
-                    entries.append(_gain_synthetic(
-                        ctx, path, mats, tx_dev, rx_dev, tx_arr, rx_arr,
-                        off_tx_w, slants_tx, off_rx_w, slants_rx, lam))
-                else:
-                    entries.append(_gain_explicit(
-                        ctx, bvh, path, mats, tx_dev, rx_dev, tx_arr, rx_arr,
-                        off_tx_w, slants_tx, off_rx_w, slants_rx))
+                entries.append(gain(ctx, bvh, path, tx_dev, rx_dev,
+                                    off_tx_w, slants_tx, off_rx_w, slants_rx))
     return ChannelGains(scene=scene, entries=entries, sample_times=np.zeros(1))
 
 
-def _gain_synthetic(ctx, path, mats, tx_dev, rx_dev, tx_arr, rx_arr,
-                    off_tx_w, slants_tx, off_rx_w, slants_rx, lam):
-    geom = geometry_from_path(path)
-    base = {}
-    for st in sorted(set(float(s) for s in slants_tx)):
-        for sr in sorted(set(float(s) for s in slants_rx)):
-            base[(st, sr)] = transfer(ctx, geom, mats, tx_dev, rx_dev,
-                                      tx_arr.pattern, rx_arr.pattern,
-                                      st, sr).to_complex()
+def _gain_synthetic(ctx, bvh, path, tx_dev, rx_dev,
+                    off_tx_w, slants_tx, off_rx_w, slants_rx):
+    scene, lam = ctx.scene, ctx.scene.wavelength
+    st = sorted(set(float(s) for s in slants_tx))
+    sr = sorted(set(float(s) for s in slants_rx))
+    _, g = element_gains(ctx, bvh, path, tx_dev, rx_dev,
+                         [(scene.tx_array.pattern, s) for s in st],
+                         [(scene.rx_array.pattern, s) for s in sr])
+    base = {(t, r): g[i][j].to_complex()
+            for i, r in enumerate(sr) for j, t in enumerate(st)}
     k_dep = np.asarray(path.k_dep)
     k_arr = np.asarray(path.k_arr)
     ph_tx = np.exp(1j * TWO_PI * (off_tx_w @ k_dep) / lam)
@@ -421,37 +430,32 @@ def _gain_synthetic(ctx, path, mats, tx_dev, rx_dev, tx_arr, rx_arr,
     )
 
 
-def _gain_explicit(ctx, bvh, path, mats, tx_dev, rx_dev, tx_arr, rx_arr,
+def _gain_explicit(ctx, bvh, path, tx_dev, rx_dev,
                    off_tx_w, slants_tx, off_rx_w, slants_rx):
+    """Element pairs re-solved as the columns of one solve; blocked pairs stay 0."""
+    scene = ctx.scene
+    if ctx.has_tracked_position(tx_dev) or ctx.has_tracked_position(rx_dev):
+        raise EmError("tracked device positions need synthetic_array")
     n_rx, n_tx = len(off_rx_w), len(off_tx_w)
     a = np.zeros((n_rx, n_tx), dtype=np.complex128)
     delays = np.zeros((n_rx, n_tx))
     k_dep = np.zeros((n_rx, n_tx, 3))
     k_arr = np.zeros((n_rx, n_tx, 3))
+    # column i * n_tx + j pairs rx element i with tx element j
+    tx_cols = np.tile(tx_dev.position + off_tx_w, (n_rx, 1)).T
+    rx_cols = np.repeat(rx_dev.position + off_rx_w, n_tx, axis=0).T
+    seqs = np.tile(np.array(path.seq, dtype=np.int32).reshape(-1, 1), n_rx * n_tx)
     valid = []
-    for i in range(n_rx):
-        rx_pos = rx_dev.position + off_rx_w[i]
-        for j in range(n_tx):
-            tx_pos = tx_dev.position + off_tx_w[j]
-            if path.kind == "los":
-                if bvh.num_prims and bvh.occluded(tx_pos, rx_pos):
-                    continue
-                sub = path_from_points(tx_dev.name, rx_dev.name, (), tx_pos,
-                                       rx_pos, [], bvh)
-            else:
-                sub = image_solve(tx_dev.name, rx_dev.name, tx_pos, rx_pos,
-                                  path.seq, bvh)
-                if sub is None:
-                    continue
-            geom = geometry_from_path(sub)
-            g = transfer(ctx, geom, mats, tx_dev, rx_dev,
-                         tx_arr.pattern, rx_arr.pattern,
-                         float(slants_tx[j]), float(slants_rx[i]))
-            a[i, j] = g.to_complex()
-            delays[i, j] = sub.delay_s
-            k_dep[i, j] = sub.k_dep
-            k_arr[i, j] = sub.k_arr
-            valid.append(sub.delay_s)
+    for col, sub in _solve_paths(tx_dev.name, rx_dev.name, tx_cols, rx_cols, seqs, bvh):
+        i, j = divmod(int(col), n_tx)
+        _, g = element_gains(ctx, bvh, sub, tx_dev, rx_dev,
+                             [(scene.tx_array.pattern, float(slants_tx[j]))],
+                             [(scene.rx_array.pattern, float(slants_rx[i]))])
+        a[i, j] = g[0][0].to_complex()
+        delays[i, j] = sub.delay_s
+        k_dep[i, j] = sub.k_dep
+        k_arr[i, j] = sub.k_arr
+        valid.append(sub.delay_s)
     delay = float(np.mean(valid)) if valid else path.delay_s
     return PathGain(tx=tx_dev.name, rx=rx_dev.name, kind=path.kind, seq=path.seq,
                     delay=delay, a=a[:, :, None], delays=delays,

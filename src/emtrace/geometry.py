@@ -22,10 +22,6 @@ VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 _GOLDEN_SQ = (3.0 + math.sqrt(5.0)) / 2.0
 
 
-def vec3(x, y, z) -> np.ndarray:
-    return np.array([x, y, z], dtype=np.float64)
-
-
 def norm(v: np.ndarray) -> float:
     return float(math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
 
@@ -75,10 +71,6 @@ def fibonacci_directions(n: int) -> np.ndarray:
 
 
 # -- scalar-generic 3-vector helpers ----------------------------------------
-
-def t_from_np(v) -> tuple:
-    return (float(v[0]), float(v[1]), float(v[2]))
-
 
 def t_add(a, b) -> tuple:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])

@@ -21,7 +21,7 @@ from .autodiff import DiffComplex, DiffScalar, Tape
 from .autodiff import log as ad_log
 from .bvh import build
 from .channel import GridSpec, point_path_gain, probe_paths, subcarrier_frequencies
-from .em import EvalContext, geometry_from_path, path_materials, transfer
+from .em import EvalContext, element_gains
 
 
 class OptimError(ValueError):
@@ -71,15 +71,29 @@ class Dataset:
 
     @staticmethod
     def load(path: str) -> "Dataset":
-        with open(path) as fh:
-            d = json.load(fh)
-        recs = [DatasetRecord(position=np.asarray(r["position_m"], dtype=np.float64),
-                              h=np.asarray(r["h_re"]) + 1j * np.asarray(r["h_im"]))
-                for r in d["records"]]
-        return Dataset(frequency_hz=d["frequency_hz"],
-                       num_subcarriers=d["num_subcarriers"],
-                       subcarrier_spacing_hz=d["subcarrier_spacing_hz"],
-                       records=recs)
+        """Read a dataset file; OptimError naming the field when one is malformed."""
+        try:
+            with open(path) as fh:
+                d = json.load(fh)
+            head = [d[k] for k in ("frequency_hz", "num_subcarriers",
+                                   "subcarrier_spacing_hz", "records")]
+            recs = [[np.asarray(r[k], dtype=np.float64)
+                     for k in ("position_m", "h_re", "h_im")] for r in head[3]]
+        except json.JSONDecodeError as e:
+            raise OptimError(f"{path}: not a JSON dataset: {e}") from None
+        except KeyError as e:
+            raise OptimError(f"{path}: dataset is missing field {e}") from None
+        except (TypeError, ValueError):
+            raise OptimError(f"{path}: dataset fields must be numbers or lists "
+                             "of numbers") from None
+        for k, (pos, h_re, h_im) in enumerate(recs):
+            if pos.shape != (3,):
+                raise OptimError(f"{path}: records[{k}].position_m must have 3 values")
+            if not h_re.shape == h_im.shape == (head[1],):
+                raise OptimError(f"{path}: records[{k}]: h_re and h_im need "
+                                 f"num_subcarriers = {head[1]} values each")
+        return Dataset(*head[:3], [DatasetRecord(position=pos, h=h_re + 1j * h_im)
+                                   for pos, h_re, h_im in recs])
 
 
 class TrainLog:
@@ -244,16 +258,10 @@ def _converged(losses, config: OptimConfig) -> bool:
 
 # -- dataset generation ---------------------------------------------------------
 
-def _central_gains(scene, bvh, ctx, tx_dev, probe, paths):
-    """Per-path complex gain between the central tx and rx array elements."""
-    out = []
-    for path in paths:
-        mats = path_materials(scene, bvh, path)
-        geom = geometry_from_path(path)
-        out.append(transfer(ctx, geom, mats, tx_dev, probe,
-                            scene.tx_array.pattern, scene.rx_array.pattern,
-                            scene.tx_array.slants[0], scene.rx_array.slants[0]))
-    return out
+def _central_elements(scene):
+    """(tx, rx) element lists of :func:`element_gains`: each array's first element."""
+    return ([(scene.tx_array.pattern, scene.tx_array.slants[0])],
+            [(scene.rx_array.pattern, scene.rx_array.slants[0])])
 
 
 def generate_dataset(scene, positions=None, num_subcarriers: int = 128,
@@ -278,13 +286,14 @@ def generate_dataset(scene, positions=None, num_subcarriers: int = 128,
         raise OptimError("no probe positions to generate data for")
     f = subcarrier_frequencies(num_subcarriers, subcarrier_spacing_hz)
     ctx = EvalContext(scene)
+    elements = _central_elements(scene)
     records = []
     for probe, paths in probe_paths(scene, bvh, tx_dev, positions, max_depth,
                                     method, num_rays):
-        gains = _central_gains(scene, bvh, ctx, tx_dev, probe, paths)
         h = np.zeros(num_subcarriers, dtype=np.complex128)
-        for path, g in zip(paths, gains):
-            h += g.to_complex() * np.exp(-2j * np.pi * f * path.delay_s)
+        for path in paths:
+            _, g = element_gains(ctx, bvh, path, tx_dev, probe, *elements)
+            h += g[0][0].to_complex() * np.exp(-2j * np.pi * f * path.delay_s)
         records.append(DatasetRecord(position=probe.position, h=h))
     return Dataset(frequency_hz=scene.frequency_hz,
                    num_subcarriers=num_subcarriers,
@@ -311,8 +320,8 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
     names = trainable_material_names(scene)
     if not names:
         raise OptimError("scene has no trainable materials")
-    if abs(dataset.frequency_hz - scene.frequency_hz) > 1e-6 * scene.frequency_hz:
-        raise OptimError("dataset and scene carrier frequencies differ")
+    if not abs(dataset.frequency_hz - scene.frequency_hz) <= 1e-6 * scene.frequency_hz:
+        raise OptimError("dataset frequency_hz differs from the scene's carrier")
     if not dataset.records:
         raise OptimError("dataset 'records' is empty")
     tx_dev = scene.transmitters[0]
@@ -325,6 +334,7 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
         values[_SIG_KEY.format(n)] = float(m.sigma)
     leaf_names = sorted(values)
 
+    elements = _central_elements(scene)
     frozen = []  # per record: (probe, paths, basis, target, norm2)
     traced = probe_paths(scene, bvh, tx_dev, [r.position for r in dataset.records],
                          config.max_depth, config.method, config.num_rays)
@@ -347,7 +357,8 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
         ctx = EvalContext(scene, material_values=overrides)
         total = 0.0
         for probe, paths, basis, target, norm2 in frozen:
-            gains = _central_gains(scene, bvh, ctx, tx_dev, probe, paths)
+            gains = [element_gains(ctx, bvh, p, tx_dev, probe, *elements)[1][0][0]
+                     for p in paths]
             total = total + _projected_sq_error(tape, gains, basis, target) / norm2
         return total / len(frozen)
 
@@ -373,8 +384,7 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
 # -- experiment B: transmitter orientation -------------------------------------
 
 def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = None,
-                         tx_name: str | None = None, bvh=None,
-                         tx_mode: str = "central") -> TrainLog:
+                         tx_name: str | None = None, bvh=None) -> TrainLog:
     """Gradient ascent of mean region path gain over tx yaw/pitch/roll.
 
     The objective is the linear-domain mean of per-cell path gains. When no
@@ -406,7 +416,7 @@ def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = N
         for c, paths in frozen_cells:
             g, _ = point_path_gain(scene, bvh, tx_dev, c, config.max_depth,
                                    config.method, config.num_rays, ctx=ctx,
-                                   frozen_paths=paths, tx_mode=tx_mode)
+                                   frozen_paths=paths)
             total = total + g
         return total / len(frozen_cells)
 

@@ -117,15 +117,16 @@ class AntennaArray:
     pattern: str = "iso"
     polarization: str = "V"
 
-    def validate(self):
+    def validate(self, key: str = "array"):
         if self.num_rows < 1 or self.num_cols < 1:
-            raise SceneError("array needs at least one row and column")
-        if self.vertical_spacing <= 0 or self.horizontal_spacing <= 0:
-            raise SceneError("array spacings must be positive")
+            raise SceneError(f"{key} needs at least one row and column")
+        for name in ("vertical_spacing", "horizontal_spacing"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise SceneError(f"{key}: {name} must be positive and finite")
         if self.pattern not in PATTERN_NAMES:
-            raise SceneError(f"unknown antenna pattern {self.pattern!r}")
+            raise SceneError(f"{key}: unknown antenna pattern {self.pattern!r}")
         if self.polarization not in POLARIZATIONS:
-            raise SceneError(f"unknown polarization {self.polarization!r}")
+            raise SceneError(f"{key}: unknown polarization {self.polarization!r}")
 
     @property
     def slants(self) -> tuple:
@@ -194,12 +195,14 @@ class RadioDevice:
     def validate(self):
         if self.kind not in ("tx", "rx"):
             raise SceneError(f"device {self.name!r}: kind must be 'tx' or 'rx'")
-        for key, value in (("position_m", self.position), ("velocity_mps", self.velocity)):
+        for key, value in (("position_m", self.position),
+                           ("orientation_rad", self.orientation),
+                           ("velocity_mps", self.velocity)):
             if np.shape(value) != (3,):
                 raise SceneError(f"device {self.name!r}: {key} must have 3 values, "
                                  f"got {np.size(value)}")
-        if not np.isfinite(self.position).all():
-            raise SceneError(f"device {self.name!r}: non-finite position")
+            if not np.isfinite(value).all():
+                raise SceneError(f"device {self.name!r}: non-finite {key}")
 
 
 def look_at(device: RadioDevice, target) -> tuple:
@@ -256,8 +259,8 @@ class Scene:
             o.validate()
             if o.material not in self.materials:
                 raise SceneError(f"object {o.name!r}: undefined material {o.material!r}")
-        self.tx_array.validate()
-        self.rx_array.validate()
+        self.tx_array.validate("tx_array")
+        self.rx_array.validate("rx_array")
         names = set()
         for d in self.devices:
             d.validate()
@@ -267,6 +270,31 @@ class Scene:
 
 
 # -- file format -------------------------------------------------------------
+
+def _numbers(value, field: str, integer: bool = False) -> np.ndarray:
+    """``value`` as a float64 array, int64 with ``integer``; else a SceneError."""
+    try:
+        a = np.asarray(value)
+        if integer and a.dtype.kind in "iu":  # plain JSON integers
+            return a.astype(np.int64)
+        a = a.astype(np.float64, copy=False)
+    except (TypeError, ValueError):
+        raise SceneError(f"{field} must be numeric") from None
+    if integer and not (np.isfinite(a).all() and (a == np.trunc(a)).all()):
+        raise SceneError(f"{field} must be integers")
+    return a.astype(np.int64) if integer else a
+
+
+def _number(value, field: str, integer: bool = False):
+    """``value`` as a float, an int with ``integer``; else a SceneError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise SceneError(f"{field} must be a number, got {value!r}") from None
+    if integer and not x.is_integer():
+        raise SceneError(f"{field} must be an integer, got {value!r}")
+    return int(x) if integer else x
+
 
 def _load_obj_mesh(path: str):
     """Wavefront OBJ subset: only ``v`` and ``f`` records, faces fan-triangulated."""
@@ -279,9 +307,11 @@ def _load_obj_mesh(path: str):
             if parts[0] == "v":
                 if len(parts) < 4:
                     raise SceneError(f"{path}:{lineno}: malformed vertex record")
-                verts.append([float(x) for x in parts[1:4]])
+                verts.append([_number(x, f"{path}:{lineno}: vertex coordinate")
+                              for x in parts[1:4]])
             elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                idx = [_number(p.split("/")[0], f"{path}:{lineno}: face index", True) - 1
+                       for p in parts[1:]]
                 if len(idx) < 3:
                     raise SceneError(f"{path}:{lineno}: face needs >= 3 vertices")
                 for k in range(1, len(idx) - 1):
@@ -298,12 +328,13 @@ def _material_from_dict(d: dict) -> RadioMaterial:
     params = d.get("params", {})
     if model == "constant":
         return RadioMaterial(name, "constant",
-                             eps_r=float(params.get("eps_r", 1.0)),
-                             sigma=float(params.get("sigma", 0.0)),
+                             eps_r=_number(params.get("eps_r", 1.0), f"material {name!r}: eps_r"),
+                             sigma=_number(params.get("sigma", 0.0), f"material {name!r}: sigma"),
                              trainable=bool(d.get("trainable", False)))
     if model == "power_law":
         try:
-            coeffs = tuple(float(params[k]) for k in ("a", "b", "c", "d"))
+            coeffs = tuple(_number(params[k], f"material {name!r}: {k}")
+                           for k in ("a", "b", "c", "d"))
         except KeyError as e:
             raise SceneError(f"material {name!r}: power_law missing coefficient {e}") from None
         return RadioMaterial(name, "power_law", coeffs=coeffs,
@@ -311,12 +342,13 @@ def _material_from_dict(d: dict) -> RadioMaterial:
     raise SceneError(f"material {name!r}: unknown model {model!r}")
 
 
-def _array_from_dict(d: dict) -> AntennaArray:
+def _array_from_dict(d: dict, key: str) -> AntennaArray:
     return AntennaArray(
-        num_rows=int(d.get("num_rows", 1)),
-        num_cols=int(d.get("num_cols", 1)),
-        vertical_spacing=float(d.get("vertical_spacing", 0.5)),
-        horizontal_spacing=float(d.get("horizontal_spacing", 0.5)),
+        num_rows=_number(d.get("num_rows", 1), f"{key}: num_rows", integer=True),
+        num_cols=_number(d.get("num_cols", 1), f"{key}: num_cols", integer=True),
+        vertical_spacing=_number(d.get("vertical_spacing", 0.5), f"{key}: vertical_spacing"),
+        horizontal_spacing=_number(d.get("horizontal_spacing", 0.5),
+                                   f"{key}: horizontal_spacing"),
         pattern=d.get("pattern", "iso"),
         polarization=d.get("polarization", "V"),
     )
@@ -324,7 +356,7 @@ def _array_from_dict(d: dict) -> AntennaArray:
 
 def scene_from_dict(data: dict, base_dir: str = ".") -> Scene:
     try:
-        frequency = float(data["frequency_hz"])
+        frequency = _number(data["frequency_hz"], "frequency_hz")
     except KeyError:
         raise SceneError("missing top-level field 'frequency_hz'") from None
     materials = {}
@@ -337,8 +369,9 @@ def scene_from_dict(data: dict, base_dir: str = ".") -> Scene:
         if "mesh_file" in od:
             verts, tris = _load_obj_mesh(os.path.join(base_dir, od["mesh_file"]))
         else:
-            flat_v = np.asarray(od.get("vertices_m", []), dtype=np.float64)
-            flat_t = np.asarray(od.get("triangles", []), dtype=np.int64)
+            flat_v = _numbers(od.get("vertices_m", []), f"object {name!r}: vertices_m")
+            flat_t = _numbers(od.get("triangles", []), f"object {name!r}: triangles",
+                              integer=True)
             if flat_v.size % 3 or flat_t.size % 3:
                 raise SceneError(f"object {name!r}: vertex/triangle lists must be flat x,y,z triplets")
             verts = flat_v.reshape(-1, 3)
@@ -347,19 +380,20 @@ def scene_from_dict(data: dict, base_dir: str = ".") -> Scene:
                                    vertices=verts, triangles=tris))
     devices = []
     for dd in data.get("devices", []):
+        name = dd.get("name", "")
+        field = {key: _numbers(dd.get(key, [0, 0, 0]), f"device {name!r}: {key}")
+                 for key in ("position_m", "orientation_rad", "velocity_mps")}
         devices.append(RadioDevice(
-            kind=dd.get("kind", ""),
-            name=dd.get("name", ""),
-            position=np.asarray(dd.get("position_m", [0, 0, 0]), dtype=np.float64),
-            orientation=tuple(float(x) for x in dd.get("orientation_rad", [0, 0, 0])),
-            velocity=np.asarray(dd.get("velocity_mps", [0, 0, 0]), dtype=np.float64),
+            kind=dd.get("kind", ""), name=name, position=field["position_m"],
+            orientation=tuple(np.atleast_1d(field["orientation_rad"]).tolist()),
+            velocity=field["velocity_mps"],
         ))
     scene = Scene(
         frequency_hz=frequency,
         objects=objects,
         materials=materials,
-        tx_array=_array_from_dict(data.get("tx_array", {})),
-        rx_array=_array_from_dict(data.get("rx_array", {})),
+        tx_array=_array_from_dict(data.get("tx_array", {}), "tx_array"),
+        rx_array=_array_from_dict(data.get("rx_array", {}), "rx_array"),
         devices=devices,
         synthetic_array=bool(data.get("synthetic_array", True)),
     )

@@ -150,6 +150,8 @@ def _dot(a, b):
 def _solve_batch(tx, rx, seqs, bvh: Bvh):
     """Image solve of the candidates ``seqs`` (int [order, m]) as one pass.
 
+    ``tx`` and ``rx`` are [3, m] endpoint columns, one per candidate (or
+    [3, 1], shared); order 0, an empty ``seqs``, is the direct segment.
     Returns (ok [m], points [order, 3, m]): ok marks the candidates whose
     segments are not parallel to their planes, whose segment fractions lie
     in (0, 1), whose points lie inside their triangles, whose neighbouring
@@ -160,7 +162,6 @@ def _solve_batch(tx, rx, seqs, bvh: Bvh):
     """
     order, m = seqs.shape
     planes = [(t[:3], t[3]) for t in (bvh.solve_table[:4, prims] for prims in seqs)]
-    tx, rx = (np.asarray(p, dtype=np.float64).reshape(3, 1) for p in (tx, rx))
     images = []
     image = tx
     for n, c in planes:
@@ -193,22 +194,25 @@ def _solve_batch(tx, rx, seqs, bvh: Bvh):
     return ok, points
 
 
-def _solve_paths(tx_name, rx_name, tx, rx, seqs, bvh: Bvh) -> list:
-    """Valid paths among the candidates ``seqs``, in column order.
+def _solve_paths(tx_name, rx_name, tx, rx, seqs, bvh: Bvh):
+    """Yield (column, path) for the valid candidates ``seqs``, in column order.
 
-    Solves :data:`CHUNK` candidates per pass; only the survivors of the
-    geometric checks are tested for occlusion.
+    ``tx`` and ``rx`` are positions, or [3, m] endpoint columns. Solves
+    :data:`CHUNK` candidates per pass; only the survivors of the geometric
+    checks are tested for occlusion.
     """
-    paths = []
+    tx, rx = (np.asarray(p, dtype=np.float64).reshape(3, -1) for p in (tx, rx))
     for lo in range(0, seqs.shape[1], CHUNK):
-        ok, points = _solve_batch(tx, rx, seqs[:, lo:lo + CHUNK], bvh)
+        cols = np.s_[:, lo:lo + CHUNK]
+        t, r = (e if e.shape[1] == 1 else e[cols] for e in (tx, rx))
+        ok, points = _solve_batch(t, r, seqs[cols], bvh)
         for j in np.flatnonzero(ok):
             pts = list(points[:, :, j])
-            chain = [tx, *pts, rx]
+            # column j of the chunk, or the one shared column
+            chain = [t[:, j % t.shape[1]], *pts, r[:, j % r.shape[1]]]
             if not any(bvh.occluded(a, b) for a, b in zip(chain[:-1], chain[1:])):
-                paths.append(path_from_points(tx_name, rx_name, seqs[:, lo + j],
-                                              tx, rx, pts, bvh))
-    return paths
+                yield lo + j, path_from_points(tx_name, rx_name, seqs[:, lo + j],
+                                               chain[0], chain[-1], pts, bvh)
 
 
 def image_solve(tx_name, rx_name, tx_pos, rx_pos, seq, bvh: Bvh):
@@ -217,11 +221,13 @@ def image_solve(tx_name, rx_name, tx_pos, rx_pos, seq, bvh: Bvh):
     Valid means: every interaction point lies inside its triangle, both
     neighbouring vertices sit on the same side of each reflecting plane,
     every segment crossing is a proper reflection (segment fraction in
-    (0, 1)), and no segment is occluded.
+    (0, 1)), and no segment is occluded. A one-candidate reference for
+    tests and the benchmark: the library solves many candidates per call
+    through :func:`_solve_paths`.
     """
     seqs = np.array(seq, dtype=np.int32).reshape(len(seq), 1)
-    paths = _solve_paths(tx_name, rx_name, tx_pos, rx_pos, seqs, bvh)
-    return paths[0] if paths else None
+    return next((p for _, p in _solve_paths(tx_name, rx_name, tx_pos, rx_pos,
+                                            seqs, bvh)), None)
 
 
 def los_path(scene, bvh: Bvh, tx_dev, rx_dev):
@@ -348,8 +354,8 @@ def solve_candidates(scene, bvh: Bvh, tx_dev, rx_dev, candidates) -> list:
     if los is not None:
         paths.append(los)
     for seqs in candidates:
-        paths += _solve_paths(tx_dev.name, rx_dev.name, tx_dev.position,
-                              rx_dev.position, seqs, bvh)
+        paths += [p for _, p in _solve_paths(tx_dev.name, rx_dev.name, tx_dev.position,
+                                             rx_dev.position, seqs, bvh)]
     paths = _merge_coincident(paths)
     paths.sort(key=lambda p: (0 if p.kind == "los" else 1, p.order, p.seq))
     return paths

@@ -60,6 +60,20 @@ class TestTrace:
         ("frequency_hz", lambda d: d.update(frequency_hz=float("nan"))),
         ("position_m", lambda d: d["devices"][0].update(position_m=[0.0, 0.0])),
         ("velocity_mps", lambda d: d["devices"][1].update(velocity_mps=[1.0, 2.0])),
+        pytest.param("orientation_rad", lambda d: d["devices"][0].update(
+            orientation_rad=[0.0, 0.1]), id="orientation_rad-2-values"),
+        pytest.param("orientation_rad", lambda d: d["devices"][0].update(
+            orientation_rad=[float("nan"), 0.0, 0.0]), id="orientation_rad-nan"),
+        pytest.param("velocity_mps", lambda d: d["devices"][1].update(
+            velocity_mps=[0.0, float("nan"), 0.0]), id="velocity_mps-nan"),
+        pytest.param("vertical_spacing", lambda d: d["tx_array"].update(
+            vertical_spacing=float("nan")), id="vertical_spacing-nan"),
+        pytest.param("triangles", lambda d: d["objects"][0].update(
+            triangles=[0, 1, 2.5, 0, 2, 3]), id="triangles-fraction"),
+        pytest.param("num_rows", lambda d: d["tx_array"].update(num_rows="two"),
+                     id="num_rows-text"),
+        pytest.param("eps_r", lambda d: d["materials"][0]["params"].update(eps_r="abc"),
+                     id="eps_r-text"),
     ])
     def test_malformed_scene_field_exit_1(self, tmp_path, capsys, field, edit):
         data = json.load(open(bundled_scene("two_ray")))
@@ -69,6 +83,18 @@ class TestTrace:
         rc = run(["trace", "--scene", str(scene), "--out", str(tmp_path / "x.txt")])
         assert rc == 1
         assert field in capsys.readouterr().err
+
+    def test_non_numeric_obj_vertex_exit_1(self, tmp_path, capsys):
+        (tmp_path / "ground.obj").write_text(
+            "v -100 -100 0\nv 100 -100 0\nv x 100 0\nf 1 2 3\n")
+        data = json.load(open(bundled_scene("two_ray")))
+        data["objects"] = [{"name": "ground", "material": "ground",
+                            "mesh_file": "ground.obj"}]
+        scene = tmp_path / "mesh.scene"
+        scene.write_text(json.dumps(data))
+        rc = run(["trace", "--scene", str(scene), "--out", str(tmp_path / "x.txt")])
+        assert rc == 1
+        assert "ground.obj:3: vertex coordinate" in capsys.readouterr().err
 
     def test_internal_error_exit_2(self, tmp_path, capsys, monkeypatch):
         def boom(*a, **k):
@@ -154,6 +180,42 @@ class TestCalibrate:
                   "--log", str(tmp_path / "l.txt")])
         assert rc == 1
         assert "records" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("ds") / "d.json")
+        assert run(["gen-dataset", "--scene", bundled_scene("calib_truth"),
+                    "--max-depth", "1", "--subcarriers", "8", "--out", path]) == 0
+        return json.load(open(path))
+
+    @pytest.mark.parametrize("field, edit", [
+        pytest.param("frequency_hz", lambda d: d.pop("frequency_hz"),
+                     id="frequency_hz-missing"),
+        pytest.param("frequency_hz", lambda d: d.update(frequency_hz=float("nan")),
+                     id="frequency_hz-nan"),
+        pytest.param("h_im", lambda d: d["records"][3].update(
+            h_im=d["records"][3]["h_im"][:-1]), id="h_im-short"),
+        pytest.param("position_m", lambda d: d["records"][0].update(
+            position_m=[1.0, 2.0]), id="position_m-2-values"),
+    ])
+    def test_malformed_dataset_exit_1(self, tmp_path, capsys, dataset, field, edit):
+        data = json.loads(json.dumps(dataset))
+        edit(data)
+        ds_path = tmp_path / "bad.json"
+        ds_path.write_text(json.dumps(data))
+        rc = run(["calibrate", "--scene", bundled_scene("calib_init"),
+                  "--dataset", str(ds_path), "--max-depth", "1", "--iterations", "2",
+                  "--log", str(tmp_path / "l.csv")])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+
+    def test_truncated_dataset_exit_1(self, tmp_path, capsys):
+        ds_path = tmp_path / "cut.json"
+        ds_path.write_text('{"frequency_hz": 3')
+        rc = run(["calibrate", "--scene", bundled_scene("calib_init"),
+                  "--dataset", str(ds_path), "--log", str(tmp_path / "l.csv")])
+        assert rc == 1
+        assert "cut.json" in capsys.readouterr().err
 
 
 class TestOrient:

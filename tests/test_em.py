@@ -6,16 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ground_scene, make_scene
+from conftest import ground_scene, make_scene, quad_object
 from emtrace import bvh as accel
+from emtrace import tracer
 from emtrace.autodiff import Tape
 from emtrace.em import (EmError, EvalContext, apply_doppler, compute_gains,
                         fresnel, geometry_for_positions, geometry_from_path,
                         path_materials, pattern_eval, synthetic_phase,
                         transfer)
-from emtrace.geometry import SPEED_OF_LIGHT
+from emtrace.geometry import SPEED_OF_LIGHT, rotation_from_ypr
 from emtrace.scene import AntennaArray, RadioDevice, RadioMaterial
-from emtrace.tracer import compute_paths
+from emtrace.tracer import compute_paths, image_solve, path_from_points
 
 TWO_PI = 2 * math.pi
 
@@ -442,3 +443,88 @@ def test_fraunhofer_warning():
     ps = compute_paths(sc, tree, 0)
     with pytest.warns(UserWarning, match="Fraunhofer"):
         compute_gains(sc, tree, ps)
+
+
+class TestExplicitArrays:
+    """``synthetic_array: false``: every element pair's path is re-solved."""
+
+    @staticmethod
+    def scene():
+        # 6 m element spacing at 1 GHz: a wall whose top (9.5 m) sits
+        # between the rows blocks the LOS of the low tx row to the low rx
+        # row, and a side wall 11.5 m high misses the high rows' reflection
+        mats = [RadioMaterial("wall", "constant", eps_r=5.0, sigma=0.02)]
+        walls = [quad_object("blocker", "wall", [(25, -10, 0), (25, 10, 0),
+                                                 (25, 10, 9.5), (25, -10, 9.5)]),
+                 quad_object("side", "wall", [(-5, 15, 0), (55, 15, 0),
+                                              (55, 15, 11.5), (-5, 15, 11.5)])]
+        devices = [RadioDevice("tx", "tx", np.array([0.0, 0.0, 10.0]),
+                               orientation=(0.1, 0.0, 0.05)),
+                   RadioDevice("rx", "rx", np.array([50.0, 0.0, 10.0]),
+                               orientation=(3.0, 0.0, 0.0))]
+        return make_scene(
+            objects=walls, materials=mats, devices=devices, synthetic_array=False,
+            tx_array=AntennaArray(num_rows=2, num_cols=2, vertical_spacing=20.0,
+                                  horizontal_spacing=20.0, pattern="tr38901",
+                                  polarization="VH"),
+            rx_array=AntennaArray(num_rows=2, num_cols=1, vertical_spacing=20.0,
+                                  pattern="dipole", polarization="cross"))
+
+    def test_equals_per_pair_reference_bit_for_bit(self):
+        sc = self.scene()
+        tree = accel.build(sc)
+        ps = compute_paths(sc, tree, 1)
+        assert [p.kind for p in ps.paths] == ["los", "specular"]
+        gains = compute_gains(sc, tree, ps)
+        ctx = EvalContext(sc)
+        tx, rx = sc.device("tx"), sc.device("rx")
+        off_tx, sl_tx = sc.tx_array.element_layout(sc.wavelength)
+        off_rx, sl_rx = sc.rx_array.element_layout(sc.wavelength)
+        off_tx = off_tx @ rotation_from_ypr(*tx.orientation).T
+        off_rx = off_rx @ rotation_from_ypr(*rx.orientation).T
+        zeros = 0
+        for path, entry in zip(ps.paths, gains.entries):
+            mats = path_materials(sc, tree, path)
+            want = np.zeros((len(off_rx), len(off_tx)), dtype=complex)
+            for i in range(len(off_rx)):
+                for j in range(len(off_tx)):
+                    t_pos, r_pos = tx.position + off_tx[j], rx.position + off_rx[i]
+                    if path.kind == "los":
+                        sub = None if tree.occluded(t_pos, r_pos) else path_from_points(
+                            "tx", "rx", (), t_pos, r_pos, [], tree)
+                    else:
+                        sub = image_solve("tx", "rx", t_pos, r_pos, path.seq, tree)
+                    if sub is None:
+                        continue
+                    want[i, j] = transfer(ctx, geometry_from_path(sub), mats, tx, rx,
+                                          sc.tx_array.pattern, sc.rx_array.pattern,
+                                          float(sl_tx[j]), float(sl_rx[i])).to_complex()
+                    assert entry.delays[i, j] == sub.delay_s
+                    assert entry.k_dep[i, j].tobytes() == sub.k_dep.tobytes()
+            assert entry.a[:, :, 0].tobytes() == want.tobytes()
+            zeros += int((want == 0).sum())
+        # both paths lose element pairs: 8 LOS pairs blocked, 8 reflections missed
+        assert zeros == 16
+
+    def test_one_solve_per_path(self, monkeypatch):
+        sc = self.scene()
+        tree = accel.build(sc)
+        ps = compute_paths(sc, tree, 1)
+        calls = []
+        real = tracer._solve_batch
+        monkeypatch.setattr(tracer, "_solve_batch",
+                            lambda tx, rx, seqs, bvh: calls.append(seqs.shape)
+                            or real(tx, rx, seqs, bvh))
+        compute_gains(sc, tree, ps)
+        # one column per element pair; LOS is order 0
+        assert calls == [(0, 32), (1, 32)]
+
+    def test_tracked_positions_rejected(self):
+        # the pairs' endpoints are element positions, not the device positions
+        sc = self.scene()
+        tree = accel.build(sc)
+        ps = compute_paths(sc, tree, 1)
+        tape = Tape()
+        ctx = EvalContext(sc, positions={"rx": (tape.leaf(50.0, "x"), 0.0, 10.0)})
+        with pytest.raises(EmError, match="synthetic_array"):
+            compute_gains(sc, tree, ps, ctx)

@@ -87,7 +87,7 @@ def _reference_accepts(tx, rx, seq):
 def _batched_paths(scene, tree, tx, rx, max_depth):
     """Accepted paths of the batched solver, before coincident paths merge."""
     return [p for seqs in candidate_set(scene, tree, tx, max_depth)
-            for p in _solve_paths("tx", "rx", tuple(tx), tuple(rx), seqs, tree)]
+            for _, p in _solve_paths("tx", "rx", tuple(tx), tuple(rx), seqs, tree)]
 
 
 def _off_faces(lo, hi, size):  # a coordinate at least 5 cm off the box faces
@@ -133,3 +133,9 @@ def test_candidates_beyond_one_chunk_match_one_candidate_solves():
     # some accepted candidate sits in the second chunk of its group
     order2 = groups[-1].T.tolist()
     assert any(order2.index(list(p.seq)) >= CHUNK for p in batched if p.order == 2)
+    # the same endpoints given as one column per candidate, across the chunks
+    m = groups[-1].shape[1]
+    columns = [np.tile(np.reshape(end, (3, 1)), m) for end in (tx, rx)]
+    per_column = _solve_paths("tx", "rx", *columns, groups[-1], tree)
+    shared = _solve_paths("tx", "rx", tx, rx, groups[-1], tree)
+    assert [(c, _key(p)) for c, p in per_column] == [(c, _key(p)) for c, p in shared]
