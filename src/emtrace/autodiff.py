@@ -364,14 +364,25 @@ def csqrt_posreal(z: DiffComplex) -> DiffComplex:
     e^{+j2pi f t} time convention) the result has Im <= 0, so transmitted
     fields decay into the medium. On the negative real axis the +j branch
     is taken.
+
+    On a tape the root is one node per component, with the derivative of
+    the analytic root, dw/dz = 1 / 2w. Differentiating the half-angle steps
+    instead would lose the derivative on the positive real axis (sigma = 0)
+    and amplify their rounding when Im z is small.
     """
-    m = abs(z)
     re_v, im_v = _val(z.re), _val(z.im)
-    u2 = (m + z.re) * 0.5
-    v2 = (m - z.re) * 0.5
+    m = math.sqrt(re_v * re_v + im_v * im_v)
+    u2 = (m + re_v) * 0.5
+    v2 = (m - re_v) * 0.5
     # rounding can push either half slightly negative near the axes
-    u = sqrt(u2) if _val(u2) > 0.0 else u2 * 0.0
-    v = sqrt(v2) if _val(v2) > 0.0 else v2 * 0.0
+    u = math.sqrt(u2) if u2 > 0.0 else u2 * 0.0
+    v = math.sqrt(v2) if v2 > 0.0 else v2 * 0.0
     if im_v < 0.0:
         v = -v
-    return DiffComplex(u, v)
+    tape = next((x.tape for x in (z.re, z.im)
+                 if isinstance(x, DiffScalar) and x.tape is not None), None)
+    if tape is None:
+        return DiffComplex(u, v)
+    s = 0.5 / (u * u + v * v)  # 1/2w = (u - jv) s
+    return DiffComplex(tape.record_custom(u, (z.re, z.im), (u * s, v * s)),
+                       tape.record_custom(v, (z.re, z.im), (-v * s, u * s)))

@@ -222,20 +222,24 @@ def point_path_gain(scene, bvh, tx_dev, point, max_depth: int,
                                              max_depth, method, num_rays)
     tx_arr = scene.tx_array
     if tx_mode == "central":
-        tx_elements = [(tx_arr.pattern, tx_arr.slants[0])]
+        tx_slants = [tx_arr.slants[0]]
     elif tx_mode == "array":
         offsets, slants = tx_arr.element_layout(scene.wavelength)
         rows = ctx.rotation_rows(tx_dev)
         offsets_w = [mat_vec(rows, o.tolist()) for o in offsets]
-        tx_elements = [(tx_arr.pattern, float(s)) for s in slants]
+        # elements differ only in offset and slant: one gain per distinct slant
+        tx_slants = sorted(set(float(s) for s in slants))
+        of_element = [tx_slants.index(float(s)) for s in slants]
     else:
         raise ChannelError(f"unknown tx_mode {tx_mode!r}")
+    tx_elements = [(tx_arr.pattern, s) for s in tx_slants]
     gain = 0.0
     for path in frozen_paths:
         geom, g = element_gains(ctx, bvh, path, tx_dev, probe, tx_elements, _PROBES)
         if tx_mode == "array":  # coherent sum at the elements' plane-wave phases
             phases = [synthetic_phase(geom.k_dep, o, scene.wavelength) for o in offsets_w]
-            g = [[sum((el * ph for el, ph in zip(row, phases)), DiffComplex(0.0, 0.0))]
+            g = [[sum((row[s] * ph for s, ph in zip(of_element, phases)),
+                      DiffComplex(0.0, 0.0))]
                  for row in g]
         for (a,) in g:  # one row per probe polarization
             gain = gain + a.abs2()

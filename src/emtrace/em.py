@@ -3,14 +3,19 @@
 Converts path geometry into complex gains: antenna pattern evaluation in
 the rotated device frame, Fresnel reflection in the per-segment TE/TM basis
 with explicit basis rotations between segments, free-space spreading,
-plane-wave array phase shifts, and Doppler time evolution. Every path
-coefficient comes from :func:`element_gains`, the one caller of
-:func:`transfer`; explicit arrays re-solve all element pairs of a path in
-one batched image solve.
+plane-wave array phase shifts, and Doppler time evolution.
 
-All field math runs on scalar-generic tuples, so the same code produces
+Path coefficients come from two places. :func:`transfer` is the scalar
+reference: it runs on scalar-generic tuples, so the same code produces
 plain floats for forward simulation and tape-recorded scalars when material
 parameters, device orientations or positions are registered as leaves.
+:func:`element_gains`, its one caller, serves array gains, coverage and
+orientation gradients; explicit arrays re-solve all element pairs of a path
+in one batched image solve. :class:`PathKernel` serves material learning
+and dataset generation: it freezes everything in a path coefficient except
+the Fresnel coefficients, so an evaluation over all paths is one numpy
+pass and its gradient with respect to the material etas a closed-form
+vector-Jacobian product.
 
 Conventions (frozen project-wide): time dependence e^{+j 2 pi f t}, hence
 propagation phase e^{-j 2 pi f_c tau}; the reflected parallel basis vector
@@ -319,7 +324,8 @@ def element_gains(ctx: EvalContext, bvh, path, tx_dev, rx_dev,
 
     Elements are (pattern name, slant) pairs at the device centers; device
     positions tracked in ``ctx`` re-derive the geometry for the moved
-    endpoints. This is the one place where path coefficients are evaluated.
+    endpoints. Every path coefficient outside :class:`PathKernel` is
+    evaluated here.
     """
     if ctx.has_tracked_position(tx_dev) or ctx.has_tracked_position(rx_dev):
         geom = geometry_for_positions(path, ctx.position(tx_dev), ctx.position(rx_dev))
@@ -330,6 +336,181 @@ def element_gains(ctx: EvalContext, bvh, path, tx_dev, rx_dev,
                             tx_slant, rx_slant)
                    for tx_pat, tx_slant in tx_elements]
                   for rx_pat, rx_slant in rx_elements]
+
+
+# -- frozen-path kernel -------------------------------------------------------
+
+def _fresnel_arrays(eta, cos_theta_i):
+    """(r_TE, r_TM, w) of :func:`fresnel`, elementwise over numpy arrays.
+
+    The root takes csqrt_posreal's floating-point steps: r_TE and r_TM
+    subtract nearly equal numbers when eta is close to 1, so a root
+    rounded differently would be amplified there.
+    """
+    z = eta - (1.0 - cos_theta_i * cos_theta_i)
+    m = np.sqrt(z.real * z.real + z.imag * z.imag)
+    v = np.sqrt(np.maximum((m - z.real) * 0.5, 0.0))
+    w = np.sqrt(np.maximum((m + z.real) * 0.5, 0.0)) + 1j * np.where(z.imag < 0.0, -v, v)
+    ec = eta * cos_theta_i
+    return (cos_theta_i - w) / (cos_theta_i + w), (w - ec) / (w + ec), w
+
+
+@dataclass
+class _Chain:
+    """The frozen paths with one interaction count K >= 1, stacked along P."""
+
+    index: np.ndarray  # [P] positions in the kernel's path order
+    slots: slice  # their interactions in the kernel's flat arrays, as [K, P]
+    c: np.ndarray  # [P] complex lambda / (4 pi d) e^{-j 2 pi f tau}
+    u_tx: np.ndarray  # [2, P] tx field on (TE, TM) of the first interaction
+    u_rx: np.ndarray  # [2, P] rx field on (TE, TM) of the last interaction
+    j: np.ndarray  # [K - 1, 2, 2, P] basis changes between interactions
+
+
+class PathKernel:
+    """Coefficients of a frozen path set as a numpy function of material etas.
+
+    Materials never move geometry, so in the transfer-matrix form of a path
+    coefficient (Hoydis et al., arXiv 2303.11103)
+
+        a = c * u_rx^T D_K J_{K-1} D_{K-1} ... J_1 D_1 u_tx,
+        c = lambda / (4 pi d) * e^{-j 2 pi f tau},  D_k = diag(r_TE, r_TM),
+
+    everything but the Fresnel coefficients is a constant: the element
+    fields projected onto the first and last TE/TM bases, the real 2x2
+    basis changes J and the factor c. They are built once, in floats, from
+    the helpers :func:`transfer` uses; an evaluation is one vectorised
+    :func:`fresnel` over all interactions plus a batched chain product per
+    interaction count. ``links`` holds (tx device, rx device, paths); gains
+    come back path by path in that order, for one element pair at the
+    devices' stored orientations.
+    """
+
+    def __init__(self, scene, bvh, links, tx_element, rx_element):
+        ctx = EvalContext(scene)
+        mat_index = {}  # material name -> position in eta
+        los = {"index": [], "gain": []}
+        chains = {}  # K -> per-path lists of the _Chain fields, cosines and materials
+        n = 0
+        for tx_dev, rx_dev, paths in links:
+            for path in paths:
+                geom = geometry_from_path(path)
+                f_tx = element_field(*tx_element, ctx.rotation_rows(tx_dev), geom.k_dep)
+                f_rx = element_field(*rx_element, ctx.rotation_rows(rx_dev),
+                                     t_scale(geom.k_arr, -1.0))
+                c = (scene.wavelength / (2.0 * TWO_PI * geom.length)
+                     * DiffComplex.expj(-TWO_PI * scene.frequency_hz * geom.delay).to_complex())
+                mats = [mat_index.setdefault(m, len(mat_index))
+                        for m in path_materials(scene, bvh, path)]
+                if not mats:
+                    los["index"].append(n)
+                    los["gain"].append(c * t_dot(f_tx, f_rx))
+                    n += 1
+                    continue
+                # (TE, TM in, TM out) axes of each interaction
+                axes = []
+                for k in range(len(mats)):
+                    e_perp = _perp_axis(geom.seg_dirs[k], geom.normals[k])
+                    axes.append((e_perp, t_cross(geom.seg_dirs[k], e_perp),
+                                 t_cross(e_perp, geom.seg_dirs[k + 1])))
+                rows = chains.setdefault(len(mats), {k: [] for k in (
+                    "index", "c", "u_tx", "u_rx", "j", "cos", "mat")})
+                rows["index"].append(n)
+                rows["c"].append(c)
+                rows["u_tx"].append((t_dot(f_tx, axes[0][0]), t_dot(f_tx, axes[0][1])))
+                rows["u_rx"].append((t_dot(f_rx, axes[-1][0]), t_dot(f_rx, axes[-1][2])))
+                rows["j"].append([((t_dot(a[0], b[0]), t_dot(a[2], b[0])),
+                                   (t_dot(a[0], b[1]), t_dot(a[2], b[1])))
+                                  for a, b in zip(axes[:-1], axes[1:])])
+                rows["cos"].append(geom.cos_incidence)
+                rows["mat"].append(mats)
+                n += 1
+        self.materials = sorted(mat_index, key=mat_index.get)
+        self.num_paths = n
+        self.los_index = np.array(los["index"], dtype=np.int64)
+        self.los_gain = np.array(los["gain"], dtype=np.complex128)
+        self.chains = []
+        cosines, mat_ids = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+        start = 0
+        for order, rows in sorted(chains.items()):
+            p = len(rows["index"])
+            # interactions stored [K, P]: interaction k of every path together
+            cosines.append(np.array(rows["cos"], dtype=np.float64).T.ravel())
+            mat_ids.append(np.array(rows["mat"], dtype=np.int64).T.ravel())
+            self.chains.append(_Chain(
+                index=np.array(rows["index"], dtype=np.int64),
+                slots=slice(start, start + order * p),
+                c=np.array(rows["c"], dtype=np.complex128),
+                u_tx=np.array(rows["u_tx"], dtype=np.float64).T.copy(),
+                u_rx=np.array(rows["u_rx"], dtype=np.float64).T.copy(),
+                j=np.array(rows["j"], dtype=np.float64).reshape(
+                    p, order - 1, 2, 2).transpose(1, 2, 3, 0).copy()))
+            start += order * p
+        self.cos = np.concatenate(cosines)
+        self.mat = np.concatenate(mat_ids)
+
+    def etas(self, ctx: EvalContext) -> np.ndarray:
+        """Complex eta per kernel material, from the (float) values in ``ctx``."""
+        return np.array([ctx.eta(m).to_complex() for m in self.materials],
+                        dtype=np.complex128)
+
+    @staticmethod
+    def _chain_reflections(ch, r_te, r_tm):
+        p = len(ch.index)
+        return r_te[ch.slots].reshape(-1, p), r_tm[ch.slots].reshape(-1, p)
+
+    @staticmethod
+    def _chain_inputs(ch, te, tm):
+        """The (TE, TM) field entering each D_k of a chain."""
+        ins = [(ch.u_tx[0], ch.u_tx[1])]
+        for k, j in enumerate(ch.j, 1):
+            v_te, v_tm = ins[-1][0] * te[k - 1], ins[-1][1] * tm[k - 1]
+            ins.append((j[0, 0] * v_te + j[0, 1] * v_tm,
+                        j[1, 0] * v_te + j[1, 1] * v_tm))
+        return ins
+
+    def gains(self, eta) -> np.ndarray:
+        """Complex gain per path at material etas ``eta``."""
+        r_te, r_tm, _ = _fresnel_arrays(eta[self.mat], self.cos)
+        a = np.empty(self.num_paths, dtype=np.complex128)
+        a[self.los_index] = self.los_gain
+        for ch in self.chains:
+            te, tm = self._chain_reflections(ch, r_te, r_tm)
+            v_te, v_tm = self._chain_inputs(ch, te, tm)[-1]
+            a[ch.index] = ch.c * (ch.u_rx[0] * (v_te * te[-1]) + ch.u_rx[1] * (v_tm * tm[-1]))
+        return a
+
+    def vjp(self, eta, grad_a) -> np.ndarray:
+        """Pull a cotangent on the gains back onto the etas.
+
+        Both cotangents are dL/dRe + j dL/dIm of a real loss L, so the
+        result is sum_p grad_a[p] * conj(d a_p / d eta_m) per material m.
+        """
+        eta_i = eta[self.mat]
+        r_te, r_tm, w = _fresnel_arrays(eta_i, self.cos)
+        c = self.cos
+        d_te = -c / (w * (c + w) ** 2)
+        # w * w, not eta - sin^2: differentiate the root as computed, which
+        # csqrt_posreal's steps can leave a little off for small Im eta
+        d_tm = c * (eta_i - 2.0 * w * w) / (w * (w + eta_i * c) ** 2)
+        pull = np.zeros(len(self.cos), dtype=np.complex128)
+        for ch in self.chains:
+            te, tm = self._chain_reflections(ch, r_te, r_tm)
+            dte, dtm = self._chain_reflections(ch, d_te, d_tm)
+            ins = self._chain_inputs(ch, te, tm)
+            l_te, l_tm = ch.c * ch.u_rx[0], ch.c * ch.u_rx[1]  # d a / d (D_K output)
+            da = np.empty(te.shape, dtype=np.complex128)
+            for k in range(len(ins) - 1, -1, -1):
+                da[k] = l_te * ins[k][0] * dte[k] + l_tm * ins[k][1] * dtm[k]
+                l_te, l_tm = l_te * te[k], l_tm * tm[k]
+                if k:
+                    j = ch.j[k - 1]
+                    l_te, l_tm = (j[0, 0] * l_te + j[1, 0] * l_tm,
+                                  j[0, 1] * l_te + j[1, 1] * l_tm)
+            pull[ch.slots] = (grad_a[ch.index] * np.conj(da)).ravel()
+        m = len(self.materials)
+        return (np.bincount(self.mat, pull.real, m)
+                + 1j * np.bincount(self.mat, pull.imag, m))
 
 
 # -- channel gains for full arrays -------------------------------------------

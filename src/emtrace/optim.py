@@ -6,6 +6,12 @@ responses (NMSE loss, projected gradient descent) and steering a
 transmitter to maximize mean received power over a map region (gradient
 ascent). Neither materials nor orientation move path geometry, so both
 trace their probes once, before the first iteration.
+
+Material learning evaluates its loss with :class:`em.PathKernel` in numpy:
+each evaluation is one pass over all record paths, and under a tape the
+loss is one fused node over the (eps_r, sigma) leaves, whose partials come
+from the kernel's closed-form vector-Jacobian product. Orientation still
+runs the scalar path coefficients on the tape.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from .autodiff import DiffComplex, DiffScalar, Tape
 from .autodiff import log as ad_log
 from .bvh import build
 from .channel import GridSpec, point_path_gain, probe_paths, subcarrier_frequencies
-from .em import EvalContext, element_gains
+from .em import EvalContext, PathKernel
+from .scene import eta_per_sigma
 
 
 class OptimError(ValueError):
@@ -172,7 +179,9 @@ def _projected_sq_error(tape, a_list, basis, target):
 
     ``basis`` [N, P] holds the fixed delay phasors of the subcarrier grid,
     ``a_list`` the P path gains. Gradients w.r.t. the gain components are
-    accumulated through the fixed basis in closed form.
+    accumulated through the fixed basis in closed form. With gains from the
+    scalar :func:`em.transfer` this is the tape reference that
+    :class:`_FrozenNmse` is tested against.
     """
     avals = np.array([z.to_complex() for z in a_list]) if a_list else np.zeros(0, complex)
     e = (basis @ avals if len(a_list) else np.zeros(len(target), complex)) - target
@@ -187,6 +196,41 @@ def _projected_sq_error(tape, a_list, basis, target):
         inputs.append(z.im)
         partials.append(2.0 * g[i].imag)
     return tape.record_custom(val, inputs, partials)
+
+
+class _FrozenNmse:
+    """Mean NMSE over records of frozen paths, as a numpy function of the etas.
+
+    Records are stacked with their paths zero-padded to the longest record:
+    ``basis[r, n, q]`` is record r's delay phasor of its path q at
+    subcarrier n. ``path_lists`` follows the kernel's path order.
+    """
+
+    def __init__(self, kernel, path_lists, f, targets):
+        counts = [len(paths) for paths in path_lists]
+        self.kernel = kernel
+        self.rows = np.repeat(np.arange(len(counts)), counts)
+        self.cols = np.concatenate([np.arange(c) for c in counts])
+        tau = np.zeros((len(counts), max(counts)))
+        tau[self.rows, self.cols] = [p.delay_s for paths in path_lists for p in paths]
+        self.basis = np.exp(-2j * np.pi * f[None, :, None] * tau[:, None, :])
+        self.basis_h = self.basis.conj().transpose(0, 2, 1)
+        self.targets = np.array(targets, dtype=np.complex128)
+        self.norm2 = np.einsum("rn,rn->r", self.targets.conj(), self.targets).real
+        if np.any(self.norm2 <= 0.0):
+            raise OptimError("dataset record has zero-norm target response")
+
+    def __call__(self, eta, with_grad: bool = False):
+        """(loss, d loss / d eta as dL/dRe + j dL/dIm, or None)."""
+        a = np.zeros(self.basis.shape[::2], dtype=np.complex128)
+        a[self.rows, self.cols] = self.kernel.gains(eta)
+        err = (self.basis @ a[:, :, None])[:, :, 0] - self.targets
+        n = len(self.norm2)
+        loss = float(np.sum(np.einsum("rn,rn->r", err.conj(), err).real / self.norm2)) / n
+        if not with_grad:
+            return loss, None
+        grad_a = (self.basis_h @ err[:, :, None])[:, :, 0] * (2.0 / n / self.norm2)[:, None]
+        return loss, self.kernel.vjp(eta, grad_a[self.rows, self.cols])
 
 
 # -- trainable parameter bookkeeping -------------------------------------------
@@ -259,9 +303,9 @@ def _converged(losses, config: OptimConfig) -> bool:
 # -- dataset generation ---------------------------------------------------------
 
 def _central_elements(scene):
-    """(tx, rx) element lists of :func:`element_gains`: each array's first element."""
-    return ([(scene.tx_array.pattern, scene.tx_array.slants[0])],
-            [(scene.rx_array.pattern, scene.rx_array.slants[0])])
+    """(tx, rx) elements of :class:`PathKernel`: each array's first element."""
+    return ((scene.tx_array.pattern, scene.tx_array.slants[0]),
+            (scene.rx_array.pattern, scene.rx_array.slants[0]))
 
 
 def generate_dataset(scene, positions=None, num_subcarriers: int = 128,
@@ -285,15 +329,15 @@ def generate_dataset(scene, positions=None, num_subcarriers: int = 128,
     if not len(positions):
         raise OptimError("no probe positions to generate data for")
     f = subcarrier_frequencies(num_subcarriers, subcarrier_spacing_hz)
-    ctx = EvalContext(scene)
-    elements = _central_elements(scene)
+    links = [(tx_dev, probe, paths) for probe, paths in probe_paths(
+        scene, bvh, tx_dev, positions, max_depth, method, num_rays)]
+    kernel = PathKernel(scene, bvh, links, *_central_elements(scene))
+    gains = iter(kernel.gains(kernel.etas(EvalContext(scene))))
     records = []
-    for probe, paths in probe_paths(scene, bvh, tx_dev, positions, max_depth,
-                                    method, num_rays):
+    for _, probe, paths in links:
         h = np.zeros(num_subcarriers, dtype=np.complex128)
-        for path in paths:
-            _, g = element_gains(ctx, bvh, path, tx_dev, probe, *elements)
-            h += g[0][0].to_complex() * np.exp(-2j * np.pi * f * path.delay_s)
+        for path, a in zip(paths, gains):
+            h += a * np.exp(-2j * np.pi * f * path.delay_s)
         records.append(DatasetRecord(position=probe.position, h=h))
     return Dataset(frequency_hz=scene.frequency_hz,
                    num_subcarriers=num_subcarriers,
@@ -334,33 +378,28 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
         values[_SIG_KEY.format(n)] = float(m.sigma)
     leaf_names = sorted(values)
 
-    elements = _central_elements(scene)
-    frozen = []  # per record: (probe, paths, basis, target, norm2)
     traced = probe_paths(scene, bvh, tx_dev, [r.position for r in dataset.records],
                          config.max_depth, config.method, config.num_rays)
-    for rec, (probe, paths) in zip(dataset.records, traced):
-        basis = np.exp(-2j * np.pi * f[:, None]
-                       * np.array([p.delay_s for p in paths])[None, :]) \
-            if paths else np.zeros((len(f), 0), dtype=np.complex128)
-        norm2 = float(np.vdot(rec.h, rec.h).real)
-        if norm2 <= 0.0:
-            raise OptimError("dataset record has zero-norm target response")
-        frozen.append((probe, paths, basis, rec.h, norm2))
+    links = [(tx_dev, probe, paths) for probe, paths in traced]
+    nmse = _FrozenNmse(PathKernel(scene, bvh, links, *_central_elements(scene)),
+                       [paths for _, _, paths in links], f,
+                       [rec.h for rec in dataset.records])
+    d_eta_d_sigma = eta_per_sigma(scene.frequency_hz)
 
     def loss_fn(vals, tape=None):
-        if tape is not None:
-            leaves = {k: tape.leaf(vals[k], k) for k in leaf_names}
-        else:
-            leaves = vals
-        overrides = {n: (leaves[_EPS_KEY.format(n)], leaves[_SIG_KEY.format(n)])
-                     for n in names}
-        ctx = EvalContext(scene, material_values=overrides)
-        total = 0.0
-        for probe, paths, basis, target, norm2 in frozen:
-            gains = [element_gains(ctx, bvh, p, tx_dev, probe, *elements)[1][0][0]
-                     for p in paths]
-            total = total + _projected_sq_error(tape, gains, basis, target) / norm2
-        return total / len(frozen)
+        ctx = EvalContext(scene, material_values={
+            n: (vals[_EPS_KEY.format(n)], vals[_SIG_KEY.format(n)]) for n in names})
+        loss, grad_eta = nmse(nmse.kernel.etas(ctx), with_grad=tape is not None)
+        if tape is None:
+            return loss
+        grad_eta = dict(zip(nmse.kernel.materials, grad_eta))
+        leaves, partials = [], []
+        for n in names:
+            g = grad_eta.get(n, 0j)  # a zero partial where no path touches n
+            leaves += [tape.leaf(vals[_EPS_KEY.format(n)], _EPS_KEY.format(n)),
+                       tape.leaf(vals[_SIG_KEY.format(n)], _SIG_KEY.format(n))]
+            partials += [g.real, g.imag * d_eta_d_sigma]
+        return tape.record_custom(loss, leaves, partials)
 
     log = TrainLog(leaf_names)
     scale = 1.0

@@ -96,8 +96,12 @@ def material_eval(m: RadioMaterial, frequency_hz: float,
         eps_r = eps_override
     if sigma_override is not None:
         sigma = sigma_override
-    scale = 1.0 / (2.0 * math.pi * frequency_hz * VACUUM_PERMITTIVITY)
-    return MaterialEval(eps_r, sigma, DiffComplex(eps_r, sigma * (-scale)))
+    return MaterialEval(eps_r, sigma, DiffComplex(eps_r, sigma * eta_per_sigma(frequency_hz)))
+
+
+def eta_per_sigma(frequency_hz: float) -> float:
+    """d Im(eta) / d sigma: eta = eps_r - j sigma / (2 pi f eps0) is linear in sigma."""
+    return -1.0 / (2.0 * math.pi * frequency_hz * VACUUM_PERMITTIVITY)
 
 
 @dataclass(frozen=True)
@@ -296,6 +300,13 @@ def _number(value, field: str, integer: bool = False):
     return int(x) if integer else x
 
 
+def _flag(value, field: str) -> bool:
+    """A JSON boolean; anything else, such as the string "false", is a SceneError."""
+    if not isinstance(value, bool):
+        raise SceneError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
 def _load_obj_mesh(path: str):
     """Wavefront OBJ subset: only ``v`` and ``f`` records, faces fan-triangulated."""
     verts, tris = [], []
@@ -326,19 +337,19 @@ def _material_from_dict(d: dict) -> RadioMaterial:
         raise SceneError("material without a name")
     model = d.get("model", "constant")
     params = d.get("params", {})
+    trainable = _flag(d.get("trainable", False), f"material {name!r}: trainable")
     if model == "constant":
         return RadioMaterial(name, "constant",
                              eps_r=_number(params.get("eps_r", 1.0), f"material {name!r}: eps_r"),
                              sigma=_number(params.get("sigma", 0.0), f"material {name!r}: sigma"),
-                             trainable=bool(d.get("trainable", False)))
+                             trainable=trainable)
     if model == "power_law":
         try:
             coeffs = tuple(_number(params[k], f"material {name!r}: {k}")
                            for k in ("a", "b", "c", "d"))
         except KeyError as e:
             raise SceneError(f"material {name!r}: power_law missing coefficient {e}") from None
-        return RadioMaterial(name, "power_law", coeffs=coeffs,
-                             trainable=bool(d.get("trainable", False)))
+        return RadioMaterial(name, "power_law", coeffs=coeffs, trainable=trainable)
     raise SceneError(f"material {name!r}: unknown model {model!r}")
 
 
@@ -395,7 +406,7 @@ def scene_from_dict(data: dict, base_dir: str = ".") -> Scene:
         tx_array=_array_from_dict(data.get("tx_array", {}), "tx_array"),
         rx_array=_array_from_dict(data.get("rx_array", {}), "rx_array"),
         devices=devices,
-        synthetic_array=bool(data.get("synthetic_array", True)),
+        synthetic_array=_flag(data.get("synthetic_array", True), "synthetic_array"),
     )
     scene.validate()
     return scene

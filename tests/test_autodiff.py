@@ -194,6 +194,15 @@ class TestDiffComplex:
             assert g["re"] == pytest.approx(central_diff(lambda v: float(f(v, im0)), re0), rel=1e-5)
             assert g["im"] == pytest.approx(central_diff(lambda v: float(f(re0, v)), im0), rel=1e-5)
 
+    def test_csqrt_derivative_on_positive_real_axis(self):
+        # a lossless medium: w = 2 at z = 4 + 0j, and dw/dz = 1/2w there too
+        tape = Tape()
+        re, im = tape.leaf(4.0, "re"), tape.leaf(-0.0, "im")
+        w = csqrt_posreal(DiffComplex(re, im))
+        assert w.to_complex() == 2.0
+        assert tape.gradient(w.re) == {"re": 0.25, "im": 0.0}
+        assert tape.gradient(w.im) == {"re": 0.0, "im": 0.25}
+
 
 def test_backward_touches_each_node_once_counter():
     # gradient of a long chain stays exact (no double accumulation)

@@ -13,10 +13,12 @@ from emtrace.channel import (ChannelError, Cir, CoverageMap, GridSpec,
                              build_cir, coverage_map, frequency_response,
                              point_path_gain, probe_receiver,
                              subcarrier_frequencies)
+from emtrace import em
+from emtrace.autodiff import DiffComplex
 from emtrace.em import compute_gains, geometry_from_path, path_materials, transfer
-from emtrace.em import EvalContext
-from emtrace.geometry import SPEED_OF_LIGHT, rotation_from_ypr
-from emtrace.scene import AntennaArray, RadioDevice, RadioMaterial
+from emtrace.em import EvalContext, element_gains, synthetic_phase
+from emtrace.geometry import SPEED_OF_LIGHT, mat_vec, rotation_from_ypr
+from emtrace.scene import AntennaArray, RadioDevice, RadioMaterial, bundled_scene, load_scene
 from emtrace.tracer import compute_paths, compute_paths_between
 
 
@@ -275,6 +277,34 @@ class TestTxModeArray:
         assert float(g) == pytest.approx(coherent, rel=1e-9)
         # the element phases matter at this point, so the check has teeth
         assert abs(coherent - unphased) > 1e-3 * coherent
+
+    def test_one_transfer_per_distinct_element(self, monkeypatch):
+        sc = load_scene(bundled_scene("orient"))  # 8 x 2 V array: one distinct element
+        tree = accel.build(sc)
+        tx, point = sc.transmitters[0], (60.0, 40.0, 1.5)
+        calls = []
+        real = em.transfer
+        monkeypatch.setattr(em, "transfer", lambda *a: calls.append(1) or real(*a))
+        g, paths = point_path_gain(sc, tree, tx, point, 1, tx_mode="array")
+        assert sc.tx_array.num_elements == 16 and len(paths) > 0
+        assert len(calls) == 2 * len(paths)  # one per probe polarization
+        # the forward value is the per-element coherent sum, bit for bit
+        monkeypatch.setattr(em, "transfer", real)
+        ctx = EvalContext(sc)
+        offsets, slants = sc.tx_array.element_layout(sc.wavelength)
+        rows = ctx.rotation_rows(tx)
+        offsets_w = [mat_vec(rows, o.tolist()) for o in offsets]
+        elements = [(sc.tx_array.pattern, float(s)) for s in slants]
+        ref = 0.0
+        for p in paths:
+            geom, per_el = element_gains(ctx, tree, p, tx, probe_receiver(point),
+                                         elements, [("_probe_theta", 0.0),
+                                                    ("_probe_phi", 0.0)])
+            phases = [synthetic_phase(geom.k_dep, o, sc.wavelength) for o in offsets_w]
+            for row in per_el:
+                a = sum((el * ph for el, ph in zip(row, phases)), DiffComplex(0.0, 0.0))
+                ref = ref + a.abs2()
+        assert g == ref
 
     def test_single_element_equals_central(self, box_scene):
         tree = accel.build(box_scene)

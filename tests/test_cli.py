@@ -74,6 +74,12 @@ class TestTrace:
                      id="num_rows-text"),
         pytest.param("eps_r", lambda d: d["materials"][0]["params"].update(eps_r="abc"),
                      id="eps_r-text"),
+        pytest.param("synthetic_array", lambda d: d.update(synthetic_array="false"),
+                     id="synthetic_array-text"),
+        pytest.param("trainable", lambda d: d["materials"][0].update(trainable="no"),
+                     id="trainable-text"),
+        pytest.param("trainable", lambda d: d["materials"][0].update(trainable=1),
+                     id="trainable-number"),
     ])
     def test_malformed_scene_field_exit_1(self, tmp_path, capsys, field, edit):
         data = json.load(open(bundled_scene("two_ray")))

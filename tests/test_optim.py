@@ -238,6 +238,30 @@ class TestLearnMaterials:
             counts.append(sum(solves))
         assert counts[0] == counts[1] > 0
 
+    def test_one_fused_tape_node_per_loss(self, monkeypatch):
+        from emtrace import optim
+        truth = load_scene(bundled_scene("calib_truth"))
+        init = load_scene(bundled_scene("calib_init"))
+        ds = generate_dataset(truth, num_subcarriers=32, subcarrier_spacing_hz=30e3,
+                              max_depth=1)
+        tapes = []
+
+        class CountingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(optim, "Tape", CountingTape)
+        log = learn_materials(init, ds, OptimConfig(iterations=20, max_depth=1,
+                                                    rel_tol=0.0))
+        assert len(tapes) == len(log.rows) == 20
+        # 2 leaves per trainable material and the fused loss node
+        assert max(t.num_nodes for t in tapes) < 50
+        buried = init.materials["buried_mat"]  # no path reaches it
+        assert log.final_values["mat:buried_mat:eps_r"] == buried.eps_r
+        assert log.final_values["mat:buried_mat:sigma"] == buried.sigma
+        assert log.losses[-1] < log.losses[0]
+
     def test_gradients_match_fd_at_random_iterates(self):
         # spec invariant: 1e-3 relative agreement at 5 random iterates
         _, init_scene, ds = small_calibration_problem()

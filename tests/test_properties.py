@@ -5,14 +5,20 @@ the suite runs the same cases every time.
 """
 
 import dataclasses
+import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_first_hit, make_scene, quad_object
 from emtrace import bvh as accel
-from emtrace.scene import RadioDevice, RadioMaterial, bundled_scene, load_scene
+from emtrace.autodiff import Tape
+from emtrace.channel import subcarrier_frequencies
+from emtrace.em import EvalContext, PathKernel, geometry_from_path, path_materials, transfer
+from emtrace.optim import _FrozenNmse, _projected_sq_error
+from emtrace.scene import (RadioDevice, RadioMaterial, bundled_scene, eta_per_sigma,
+                           load_scene)
 from emtrace.tracer import (CHUNK, MERGE_TOL, _solve_paths, candidate_set,
                             compute_paths, compute_paths_between,
                             enumerate_candidates, image_solve, solve_points)
@@ -139,3 +145,67 @@ def test_candidates_beyond_one_chunk_match_one_candidate_solves():
     per_column = _solve_paths("tx", "rx", *columns, groups[-1], tree)
     shared = _solve_paths("tx", "rx", tx, rx, groups[-1], tree)
     assert [(c, _key(p)) for c, p in per_column] == [(c, _key(p)) for c, p in shared]
+
+
+angles = st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
+element = st.tuples(st.sampled_from(["tr38901", "dipole"]), st.floats(-math.pi, math.pi))
+# conductivities below 1e-9 S/m can leave a near-vacuum wall reflecting
+# subnormal gains, which carry too few bits for a relative comparison
+material = st.tuples(st.floats(1.0, 20.0), st.one_of(st.just(0.0), st.floats(1e-9, 1.0)))
+
+
+# without the explain phase, which after a failure reruns hundreds of examples
+@settings(derandomize=True, deadline=None, database=None, max_examples=20,
+          phases=(Phase.explicit, Phase.generate, Phase.shrink))
+@given(tx=inside_box, rx=inside_box, tx_ypr=angles, rx_ypr=angles,
+       tx_el=element, rx_el=element, floor=material, walls=material)
+def test_path_kernel_matches_transfer_and_tape_gradient(tx, rx, tx_ypr, rx_ypr,
+                                                         tx_el, rx_el, floor, walls):
+    assume(np.linalg.norm(np.subtract(tx, rx)) > 0.1)
+    tx_dev = RadioDevice("tx", "tx", np.array(tx), orientation=tx_ypr)
+    rx_dev = RadioDevice("rx", "rx", np.array(rx), orientation=rx_ypr)
+    # floor and walls get their own materials, so order-2 paths can mix them
+    params = {"floor_mat": floor, "wall_mat": walls}
+    scene = dataclasses.replace(
+        BOX, devices=[tx_dev, rx_dev],
+        objects=[dataclasses.replace(o, material="floor_mat" if o.name == "floor"
+                                     else "wall_mat") for o in BOX.objects],
+        materials={n: RadioMaterial(n, "constant", eps_r=e, sigma=s)
+                   for n, (e, s) in params.items()})
+    paths = compute_paths_between(scene, TREE, tx_dev, rx_dev, 2)
+    assume({p.order for p in paths} == {0, 1, 2})
+
+    kernel = PathKernel(scene, TREE, [(tx_dev, rx_dev, paths)], tx_el, rx_el)
+    ctx = EvalContext(scene)
+    eta = kernel.etas(ctx)
+    for p, a in zip(paths, kernel.gains(eta)):
+        ref = transfer(ctx, geometry_from_path(p), path_materials(scene, TREE, p),
+                       tx_dev, rx_dev, tx_el[0], rx_el[0], tx_el[1], rx_el[1]).to_complex()
+        assert abs(a - ref) <= 1e-12 * abs(ref)
+
+    # NMSE gradient: kernel VJP against the scalar transfer on the tape
+    f = subcarrier_frequencies(32, 1e6)
+    basis = np.exp(-2j * np.pi * f[:, None] * np.array([p.delay_s for p in paths])[None, :])
+    rng = np.random.RandomState(5)
+    target = ((rng.randn(len(f)) + 1j * rng.randn(len(f)))
+              * np.abs(basis @ kernel.gains(eta)).max())
+    loss, grad_eta = _FrozenNmse(kernel, [paths], f, [target])(eta, with_grad=True)
+    tape = Tape()
+    leaves = {n: (tape.leaf(e, f"{n}:eps_r"), tape.leaf(s, f"{n}:sigma"))
+              for n, (e, s) in params.items()}
+    tape_ctx = EvalContext(scene, material_values=leaves)
+    gains = [transfer(tape_ctx, geometry_from_path(p), path_materials(scene, TREE, p),
+                      tx_dev, rx_dev, tx_el[0], rx_el[0], tx_el[1], rx_el[1]) for p in paths]
+    norm2 = float(np.vdot(target, target).real)
+    ref_loss = _projected_sq_error(tape, gains, basis, target) / norm2
+    assert abs(loss - ref_loss.value) <= 1e-12 * ref_loss.value
+    ref_grad = tape.gradient(ref_loss)
+    got = {}
+    for n, g in zip(kernel.materials, grad_eta):
+        got[f"{n}:eps_r"] = g.real
+        got[f"{n}:sigma"] = g.imag * eta_per_sigma(scene.frequency_hz)
+    # relative to the largest partial: a partial whose path terms cancel
+    # keeps only the absolute accuracy of the terms
+    scale = max(abs(g) for g in ref_grad.values())
+    for name, want in ref_grad.items():
+        assert abs(got.get(name, 0.0) - want) <= 1e-9 * scale
