@@ -368,17 +368,18 @@ def csqrt_posreal(z: DiffComplex) -> DiffComplex:
     On a tape the root is one node per component, with the derivative of
     the analytic root, dw/dz = 1 / 2w. Differentiating the half-angle steps
     instead would lose the derivative on the positive real axis (sigma = 0)
-    and amplify their rounding when Im z is small.
+    and amplify their rounding when Im z is small. For Re z > 0 the
+    imaginary part is Im z / 2 Re w, which does not cancel.
     """
     re_v, im_v = _val(z.re), _val(z.im)
     m = math.sqrt(re_v * re_v + im_v * im_v)
-    u2 = (m + re_v) * 0.5
-    v2 = (m - re_v) * 0.5
     # rounding can push either half slightly negative near the axes
-    u = math.sqrt(u2) if u2 > 0.0 else u2 * 0.0
-    v = math.sqrt(v2) if v2 > 0.0 else v2 * 0.0
-    if im_v < 0.0:
-        v = -v
+    u = math.sqrt(max((m + re_v) * 0.5, 0.0))
+    if re_v > 0.0:  # m - Re z cancels when |Im z| << Re z; + 0.0 keeps Im w = +0
+        v = im_v / (2.0 * u) + 0.0
+    else:
+        v = math.sqrt(max((m - re_v) * 0.5, 0.0))
+        v = -v if im_v < 0.0 else v
     tape = next((x.tape for x in (z.re, z.im)
                  if isinstance(x, DiffScalar) and x.tape is not None), None)
     if tape is None:

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DiffComplex
-from .em import EvalContext, element_gains, synthetic_phase
-from .geometry import mat_vec
+from .autodiff import DiffComplex, DiffScalar
+from .em import EmError, EvalContext, PathKernel, element_field, synthetic_phase
+from .geometry import mat_vec, rotation_from_ypr, t_dot
 from .scene import RadioDevice
 from .tracer import candidate_set, compute_paths_between, solve_candidates
 
@@ -17,6 +18,7 @@ PROBE_NAME = "__probe__"
 # orthonormal theta/phi polarization pair of the arrival direction
 _PROBES = [("_probe_theta", 0.0), ("_probe_phi", 0.0)]
 COVERAGE_MAGIC = "emtrace-coverage-v1"
+CELL_CHUNK = 1024  # coverage cells whose paths share one PathKernel
 
 
 class ChannelError(ValueError):
@@ -117,9 +119,10 @@ def subcarrier_frequencies(num_subcarriers: int, spacing: float) -> np.ndarray:
 def frequency_response(cir: Cir, num_subcarriers: int, spacing: float) -> FreqResponse:
     """H(f_k) = sum_i a_i e^{-j 2 pi f_k tau_i} on the centered grid."""
     f = subcarrier_frequencies(num_subcarriers, spacing)
-    # [rx, tx, path, subcarrier]
-    phase = np.exp(-2j * np.pi * cir.tau[:, :, :, None] * f[None, None, None, :])
-    h = np.einsum("abcdpt,acpk->abcdkt", cir.a, phase)
+    # [rx, tx, subcarrier, path]
+    phase = np.exp(-2j * np.pi * f[None, None, :, None] * cir.tau[:, :, None, :])
+    # [subcarrier, path] @ [path, time] per (rx, rx_el, tx, tx_el)
+    h = phase[:, None, :, None] @ cir.a
     n_rx, n_rx_el, n_tx, n_tx_el = cir.a.shape[:4]
     h = h.reshape(n_rx * n_rx_el, n_tx * n_tx_el, num_subcarriers, cir.a.shape[-1])
     return FreqResponse(h=h, frequencies=f)
@@ -199,58 +202,98 @@ def probe_paths(scene, bvh, tx_dev, points, max_depth: int,
         yield probe, solve_candidates(scene, bvh, tx_dev, probe, candidates)
 
 
-def point_path_gain(scene, bvh, tx_dev, point, max_depth: int,
-                    method: str = "exhaustive", num_rays: int = 4096,
-                    ctx: EvalContext | None = None, frozen_paths=None,
-                    tx_mode: str = "central"):
-    """Path gain sum_i |a_i|^2 at a probe point; scalar-like under a context.
+class ProbeKernel:
+    """Path gains at probe points, from one :class:`PathKernel` over their paths.
 
     The probe is isotropic and polarization-agnostic: the arriving field is
     projected onto the orthonormal theta/phi pair of the arrival direction
     and both squared couplings are summed, which captures the full
     transverse field power. The transmit side is the array's single central
-    element by default; ``tx_mode="array"`` sums all elements coherently at
-    their broadside plane-wave phases.
+    element for ``tx_mode="central"``; ``tx_mode="array"`` sums all
+    elements coherently at their broadside plane-wave phases, evaluating
+    each distinct slant once. ``links`` holds (tx_dev, probe, paths).
+    """
 
+    def __init__(self, scene, bvh, tx_dev, links, tx_mode: str = "central"):
+        if tx_mode not in ("central", "array"):
+            raise ChannelError(f"unknown tx_mode {tx_mode!r}")
+        arr = scene.tx_array
+        self.array = tx_mode == "array"  # else the first element, at the center
+        self.offsets, slants = (arr.element_layout(scene.wavelength) if self.array
+                                else (np.zeros((1, 3)), arr.slants[:1]))
+        slants, self.of_element = np.unique(slants, return_inverse=True)
+        self.scene, self.tx_dev = scene, tx_dev
+        self.elements = [(arr.pattern, float(s)) for s in slants]
+        self.kernel = PathKernel(scene, bvh, links, self.elements, _PROBES)
+        self.num_links = len(links)
+        self.link = np.repeat(np.arange(len(links)), [len(paths) for _, _, paths in links])
+
+    def gains(self) -> np.ndarray:
+        """Path gain per link at the scene's stored materials and orientations."""
+        k = self.kernel
+        a = k.gains(k.etas(EvalContext(self.scene)))  # [probe, slant, path]
+        off_w = self.offsets @ rotation_from_ypr(*self.tx_dev.orientation).T
+        k_dep = np.reshape(k.k_dep, (-1, 3))
+        phases = np.exp(2j * np.pi * (off_w @ k_dep.T) / self.scene.wavelength)
+        a = (a[:, self.of_element] * phases).sum(axis=1)  # coherent sum over elements
+        power = (a.real * a.real + a.imag * a.imag).sum(axis=0)
+        return np.bincount(self.link, power, self.num_links)
+
+    def total(self, ctx: EvalContext):
+        """Gain summed over all links under ``ctx``'s tx orientation.
+
+        On a tape, only each path's tx element fields f under the rotation
+        and their products with the kernel's frozen fields w are recorded.
+        """
+        for name in ("positions", "material_values"):
+            if any(isinstance(x, DiffScalar) for v in getattr(ctx, name).values() for x in v):
+                raise EmError(f"path gains differentiate tx orientations only, not {name}")
+        w = self.kernel.fields(self.kernel.etas(ctx)).T  # [path, probe, 3]
+        w_re, w_im = w.real.tolist(), w.imag.tolist()
+        rows = ctx.rotation_rows(self.tx_dev)
+        offsets_w = [mat_vec(rows, o) for o in self.offsets.tolist()] if self.array else []
+        total = 0.0
+        for k, re_p, im_p in zip(self.kernel.k_dep, w_re, w_im):
+            fields = [element_field(*e, rows, k) for e in self.elements]
+            phases = [synthetic_phase(k, o, self.scene.wavelength) for o in offsets_w]
+            for re, im in zip(re_p, im_p):  # one per probe polarization
+                g = [DiffComplex(t_dot(re, f), t_dot(im, f)) for f in fields]
+                # the coherent sum at the elements' plane-wave phases
+                a = sum((g[s] * ph for s, ph in zip(self.of_element, phases)),
+                        DiffComplex(0.0, 0.0)) if self.array else g[0]
+                total = total + a.abs2()
+        return total
+
+
+def point_path_gain(scene, bvh, tx_dev, point, max_depth: int,
+                    method: str = "exhaustive", num_rays: int = 4096,
+                    ctx: EvalContext | None = None, frozen_paths=None,
+                    tx_mode: str = "central"):
+    """Path gain sum_i |a_i|^2 at a probe point, as :class:`ProbeKernel` defines it.
+
+    Under a context the gain follows its tx orientation, scalar-like on a
+    tape; tracked positions or materials raise :class:`EmError`.
     Returns (gain, paths); pass ``frozen_paths`` to reuse a traced topology.
     """
-    if ctx is None:
-        ctx = EvalContext(scene)
     probe = probe_receiver(point)
     if frozen_paths is None:
         frozen_paths = compute_paths_between(scene, bvh, tx_dev, probe,
                                              max_depth, method, num_rays)
-    tx_arr = scene.tx_array
-    if tx_mode == "central":
-        tx_slants = [tx_arr.slants[0]]
-    elif tx_mode == "array":
-        offsets, slants = tx_arr.element_layout(scene.wavelength)
-        rows = ctx.rotation_rows(tx_dev)
-        offsets_w = [mat_vec(rows, o.tolist()) for o in offsets]
-        # elements differ only in offset and slant: one gain per distinct slant
-        tx_slants = sorted(set(float(s) for s in slants))
-        of_element = [tx_slants.index(float(s)) for s in slants]
-    else:
-        raise ChannelError(f"unknown tx_mode {tx_mode!r}")
-    tx_elements = [(tx_arr.pattern, s) for s in tx_slants]
-    gain = 0.0
-    for path in frozen_paths:
-        geom, g = element_gains(ctx, bvh, path, tx_dev, probe, tx_elements, _PROBES)
-        if tx_mode == "array":  # coherent sum at the elements' plane-wave phases
-            phases = [synthetic_phase(geom.k_dep, o, scene.wavelength) for o in offsets_w]
-            g = [[sum((row[s] * ph for s, ph in zip(of_element, phases)),
-                      DiffComplex(0.0, 0.0))]
-                 for row in g]
-        for (a,) in g:  # one row per probe polarization
-            gain = gain + a.abs2()
-    return gain, frozen_paths
+    probes = ProbeKernel(scene, bvh, tx_dev, [(tx_dev, probe, frozen_paths)], tx_mode)
+    if ctx is None:
+        return float(probes.gains()[0]), frozen_paths
+    return probes.total(ctx), frozen_paths
 
 
 def coverage_map(scene, bvh, grid: GridSpec, max_depth: int,
                  method: str = "exhaustive", num_rays: int = 4096,
                  tx_name: str | None = None, tx_mode: str = "central",
                  cell_cap: int = 250_000) -> CoverageMap:
-    """Deterministic per-cell coverage, solving one cell center at a time."""
+    """Deterministic per-cell coverage.
+
+    Cell centers are solved one at a time from one candidate set; their
+    gains are evaluated :data:`CELL_CHUNK` cells per kernel.
+    """
     if grid.num_cells > cell_cap:
         raise ChannelError(f"grid has {grid.num_cells} cells, above the cap of {cell_cap}")
     txs = scene.transmitters
@@ -260,10 +303,10 @@ def coverage_map(scene, bvh, grid: GridSpec, max_depth: int,
     centers = (grid.cell_center(ix, iy)
                for iy in range(grid.ny) for ix in range(grid.nx))
     traced = probe_paths(scene, bvh, tx_dev, centers, max_depth, method, num_rays)
-    gains = np.zeros((grid.ny, grid.nx))
-    for k, (probe, paths) in enumerate(traced):  # row-major, as gains.flat
-        g, _ = point_path_gain(scene, bvh, tx_dev, probe.position, max_depth,
-                               method, num_rays, frozen_paths=paths,
-                               tx_mode=tx_mode)
-        gains.flat[k] = float(g)
-    return CoverageMap(grid=grid, gains=gains, frequency_hz=scene.frequency_hz)
+    gains = np.zeros(grid.num_cells)  # row-major, as the [ny, nx] map
+    for lo in range(0, grid.num_cells, CELL_CHUNK):
+        links = [(tx_dev, probe, paths)
+                 for probe, paths in itertools.islice(traced, CELL_CHUNK)]
+        gains[lo:lo + len(links)] = ProbeKernel(scene, bvh, tx_dev, links, tx_mode).gains()
+    return CoverageMap(grid=grid, gains=gains.reshape(grid.ny, grid.nx),
+                       frequency_hz=scene.frequency_hz)

@@ -5,17 +5,12 @@ the rotated device frame, Fresnel reflection in the per-segment TE/TM basis
 with explicit basis rotations between segments, free-space spreading,
 plane-wave array phase shifts, and Doppler time evolution.
 
-Path coefficients come from two places. :func:`transfer` is the scalar
-reference: it runs on scalar-generic tuples, so the same code produces
-plain floats for forward simulation and tape-recorded scalars when material
-parameters, device orientations or positions are registered as leaves.
-:func:`element_gains`, its one caller, serves array gains, coverage and
-orientation gradients; explicit arrays re-solve all element pairs of a path
-in one batched image solve. :class:`PathKernel` serves material learning
-and dataset generation: it freezes everything in a path coefficient except
-the Fresnel coefficients, so an evaluation over all paths is one numpy
-pass and its gradient with respect to the material etas a closed-form
-vector-Jacobian product.
+Every path coefficient of the library comes from :class:`PathKernel`: it
+freezes all of a path's coefficient but the Fresnel coefficients (and,
+through :meth:`PathKernel.fields`, the tx field), so an evaluation over all
+paths is one numpy pass. :func:`transfer` is the scalar reference it is
+tested against: on scalar-generic tuples it yields plain floats, or
+tape-recorded scalars when materials, orientations or positions are leaves.
 
 Conventions (frozen project-wide): time dependence e^{+j 2 pi f t}, hence
 propagation phase e^{-j 2 pi f_c tau}; the reflected parallel basis vector
@@ -32,8 +27,8 @@ import numpy as np
 
 from .autodiff import DiffComplex, DiffScalar, cos, csqrt_posreal, exp, minimum, sin, sqrt
 from .geometry import (SPEED_OF_LIGHT, mat_t_vec, mat_vec, rotation_entries,
-                       spherical_angles, t_cross, t_dot, t_norm, t_normalize,
-                       t_scale, t_sub)
+                       rotation_from_ypr, spherical_angles, t_cross, t_dot, t_norm,
+                       t_normalize, t_scale, t_sub)
 from .scene import material_eval
 from .tracer import _solve_paths, solve_points
 
@@ -75,20 +70,12 @@ def _pattern_tr38901(theta, phi):
     return exp(gain_db * _LN10_OVER_20), 0.0
 
 
-def _probe_theta(theta, phi):
-    return 1.0, 0.0
-
-
-def _probe_phi(theta, phi):
-    return 0.0, 1.0
-
-
 _PATTERNS = {"iso": _pattern_iso, "dipole": _pattern_dipole,
              "tr38901": _pattern_tr38901,
              # internal coverage probes: orthonormal polarization basis of
              # the arrival direction, so their gains sum to the full
              # transverse field power
-             "_probe_theta": _probe_theta, "_probe_phi": _probe_phi}
+             "_probe_theta": _pattern_iso, "_probe_phi": lambda theta, phi: (0.0, 1.0)}
 
 
 def get_pattern(name: str):
@@ -224,14 +211,7 @@ class EvalContext:
 
     def position(self, device):
         p = self.positions.get(device.name)
-        if p is not None:
-            return p
-        return (float(device.position[0]), float(device.position[1]),
-                float(device.position[2]))
-
-    def has_tracked_position(self, device) -> bool:
-        p = self.positions.get(device.name)
-        return p is not None and any(isinstance(x, DiffScalar) for x in p)
+        return tuple(float(x) for x in device.position) if p is None else p
 
 
 # -- per-path transfer -------------------------------------------------------
@@ -240,24 +220,21 @@ class EvalContext:
 class PathGeometry:
     """Scalar-generic geometry of one path, ready for field transport."""
 
-    vertices: list
     seg_dirs: list
     length: object
     delay: object
     k_dep: tuple
     k_arr: tuple
-    normals: list  # float tuples; plane orientation does not move with devices
+    normals: list  # float 3-vectors; plane orientation does not move with devices
     cos_incidence: list
 
 
 def geometry_from_path(path) -> PathGeometry:
-    verts = [tuple(float(x) for x in v) for v in path.vertices]
+    verts = path.vertices.tolist()
     dirs = [t_normalize(t_sub(b, a)) for a, b in zip(verts[:-1], verts[1:])]
     return PathGeometry(
-        vertices=verts, seg_dirs=dirs,
-        length=path.length_m, delay=path.delay_s,
-        k_dep=dirs[0], k_arr=dirs[-1],
-        normals=[tuple(float(x) for x in n) for n in path.normals],
+        seg_dirs=dirs, length=path.length_m, delay=path.delay_s,
+        k_dep=dirs[0], k_arr=dirs[-1], normals=path.normals.tolist(),
         cos_incidence=list(path.cos_incidence),
     )
 
@@ -282,8 +259,7 @@ def geometry_for_positions(path, tx_pos, rx_pos) -> PathGeometry:
         length = length + t_norm(t_sub(b, a))
     cosines = [-t_dot(dirs[k], normals[k]) for k in range(len(normals))]
     return PathGeometry(
-        vertices=verts, seg_dirs=dirs,
-        length=length, delay=length / SPEED_OF_LIGHT,
+        seg_dirs=dirs, length=length, delay=length / SPEED_OF_LIGHT,
         k_dep=dirs[0], k_arr=dirs[-1],
         normals=normals, cos_incidence=cosines,
     )
@@ -318,26 +294,6 @@ def path_materials(scene, bvh, path) -> tuple:
     return tuple(scene.objects[bvh.prim_object[p]].material for p in path.seq)
 
 
-def element_gains(ctx: EvalContext, bvh, path, tx_dev, rx_dev,
-                  tx_elements, rx_elements):
-    """(geometry, gains) of one path; gains[i][j] couples rx and tx elements.
-
-    Elements are (pattern name, slant) pairs at the device centers; device
-    positions tracked in ``ctx`` re-derive the geometry for the moved
-    endpoints. Every path coefficient outside :class:`PathKernel` is
-    evaluated here.
-    """
-    if ctx.has_tracked_position(tx_dev) or ctx.has_tracked_position(rx_dev):
-        geom = geometry_for_positions(path, ctx.position(tx_dev), ctx.position(rx_dev))
-    else:
-        geom = geometry_from_path(path)
-    mats = path_materials(ctx.scene, bvh, path)
-    return geom, [[transfer(ctx, geom, mats, tx_dev, rx_dev, tx_pat, rx_pat,
-                            tx_slant, rx_slant)
-                   for tx_pat, tx_slant in tx_elements]
-                  for rx_pat, rx_slant in rx_elements]
-
-
 # -- frozen-path kernel -------------------------------------------------------
 
 def _fresnel_arrays(eta, cos_theta_i):
@@ -347,31 +303,46 @@ def _fresnel_arrays(eta, cos_theta_i):
     subtract nearly equal numbers when eta is close to 1, so a root
     rounded differently would be amplified there.
     """
-    z = eta - (1.0 - cos_theta_i * cos_theta_i)
-    m = np.sqrt(z.real * z.real + z.imag * z.imag)
-    v = np.sqrt(np.maximum((m - z.real) * 0.5, 0.0))
-    w = np.sqrt(np.maximum((m + z.real) * 0.5, 0.0)) + 1j * np.where(z.imag < 0.0, -v, v)
+    re, im = eta.real - (1.0 - cos_theta_i * cos_theta_i), eta.imag
+    m = np.sqrt(re * re + im * im)
+    u = np.sqrt(np.maximum((m + re) * 0.5, 0.0))
+    pos = re > 0.0
+    if pos.all():  # Re z > 0, as always for eps_r >= 1 off grazing
+        v = im / (2.0 * u) + 0.0
+    else:
+        v = np.sqrt(np.maximum((m - re) * 0.5, 0.0))
+        v = np.where(im < 0.0, -v, v)
+        v[pos] = im[pos] / (2.0 * u[pos]) + 0.0
+    w = u + 1j * v
     ec = eta * cos_theta_i
     return (cos_theta_i - w) / (cos_theta_i + w), (w - ec) / (w + ec), w
 
 
 @dataclass
 class _Chain:
-    """The frozen paths with one interaction count K >= 1, stacked along P."""
+    """The frozen paths with one interaction count K >= 1, stacked along P.
+
+    Columns (pair q = rx_el * n_tx + tx_el, path), pair-major, make every
+    evaluation step one flat elementwise numpy operation.
+    """
 
     index: np.ndarray  # [P] positions in the kernel's path order
     slots: slice  # their interactions in the kernel's flat arrays, as [K, P]
-    c: np.ndarray  # [P] complex lambda / (4 pi d) e^{-j 2 pi f tau}
-    u_tx: np.ndarray  # [2, P] tx field on (TE, TM) of the first interaction
-    u_rx: np.ndarray  # [2, P] rx field on (TE, TM) of the last interaction
-    j: np.ndarray  # [K - 1, 2, 2, P] basis changes between interactions
+    cols: np.ndarray  # [Q] positions of the columns in the flat gains
+    path: np.ndarray | None  # [Q] column -> chain path; None for one element pair
+    c: np.ndarray  # [Q] complex lambda / (4 pi d) e^{-j 2 pi f tau}
+    u_tx: np.ndarray  # [2, Q] tx field on (TE, TM) of the first interaction
+    u_rx: np.ndarray  # [2, Q] rx field on (TE, TM) of the last interaction
+    axes: np.ndarray  # [2, 3, P] world (TE, TM) axes of the first interaction
+    j: np.ndarray  # [K - 1, 2, 2, Q] basis changes between interactions
 
 
 class PathKernel:
     """Coefficients of a frozen path set as a numpy function of material etas.
 
-    Materials never move geometry, so in the transfer-matrix form of a path
-    coefficient (Hoydis et al., arXiv 2303.11103)
+    Neither materials nor orientations move geometry, so in the
+    transfer-matrix form of a path coefficient (Hoydis et al., arXiv
+    2303.11103)
 
         a = c * u_rx^T D_K J_{K-1} D_{K-1} ... J_1 D_1 u_tx,
         c = lambda / (4 pi d) * e^{-j 2 pi f tau},  D_k = diag(r_TE, r_TM),
@@ -381,31 +352,36 @@ class PathKernel:
     basis changes J and the factor c. They are built once, in floats, from
     the helpers :func:`transfer` uses; an evaluation is one vectorised
     :func:`fresnel` over all interactions plus a batched chain product per
-    interaction count. ``links`` holds (tx device, rx device, paths); gains
-    come back path by path in that order, for one element pair at the
-    devices' stored orientations.
+    interaction count. ``links`` holds (tx device, rx device, paths);
+    ``tx_elements`` / ``rx_elements`` list (pattern, slant) pairs at the
+    devices' stored orientations. Gains are [rx_el, tx_el, path], paths in
+    link order. :meth:`fields` leaves the tx field out, so a transmitter may
+    turn without a new kernel.
     """
 
-    def __init__(self, scene, bvh, links, tx_element, rx_element):
-        ctx = EvalContext(scene)
+    def __init__(self, scene, bvh, links, tx_elements, rx_elements):
+        ctx, lam, freq = EvalContext(scene), scene.wavelength, scene.frequency_hz
         mat_index = {}  # material name -> position in eta
-        los = {"index": [], "gain": []}
+        los = {"index": [], "gain": [], "field": []}
         chains = {}  # K -> per-path lists of the _Chain fields, cosines and materials
-        n = 0
+        self.k_dep = []  # per path, the direction tx fields are evaluated in
         for tx_dev, rx_dev, paths in links:
+            rot_tx, rot_rx = ctx.rotation_rows(tx_dev), ctx.rotation_rows(rx_dev)
             for path in paths:
+                n = len(self.k_dep)
                 geom = geometry_from_path(path)
-                f_tx = element_field(*tx_element, ctx.rotation_rows(tx_dev), geom.k_dep)
-                f_rx = element_field(*rx_element, ctx.rotation_rows(rx_dev),
-                                     t_scale(geom.k_arr, -1.0))
-                c = (scene.wavelength / (2.0 * TWO_PI * geom.length)
-                     * DiffComplex.expj(-TWO_PI * scene.frequency_hz * geom.delay).to_complex())
+                self.k_dep.append(geom.k_dep)
+                f_tx = [element_field(*e, rot_tx, geom.k_dep) for e in tx_elements]
+                k_back = t_scale(geom.k_arr, -1.0)
+                f_rx = [element_field(*e, rot_rx, k_back) for e in rx_elements]
+                c = (lam / (2.0 * TWO_PI * geom.length)
+                     * DiffComplex.expj(-TWO_PI * freq * geom.delay).to_complex())
                 mats = [mat_index.setdefault(m, len(mat_index))
                         for m in path_materials(scene, bvh, path)]
                 if not mats:
                     los["index"].append(n)
-                    los["gain"].append(c * t_dot(f_tx, f_rx))
-                    n += 1
+                    los["gain"].append([[c * t_dot(ft, fr) for ft in f_tx] for fr in f_rx])
+                    los["field"].append([t_scale(fr, c) for fr in f_rx])
                     continue
                 # (TE, TM in, TM out) axes of each interaction
                 axes = []
@@ -414,54 +390,67 @@ class PathKernel:
                     axes.append((e_perp, t_cross(geom.seg_dirs[k], e_perp),
                                  t_cross(e_perp, geom.seg_dirs[k + 1])))
                 rows = chains.setdefault(len(mats), {k: [] for k in (
-                    "index", "c", "u_tx", "u_rx", "j", "cos", "mat")})
+                    "index", "c", "u_tx", "u_rx", "axes", "j", "cos", "mat")})
                 rows["index"].append(n)
                 rows["c"].append(c)
-                rows["u_tx"].append((t_dot(f_tx, axes[0][0]), t_dot(f_tx, axes[0][1])))
-                rows["u_rx"].append((t_dot(f_rx, axes[-1][0]), t_dot(f_rx, axes[-1][2])))
+                rows["u_tx"].append([(t_dot(f, axes[0][0]), t_dot(f, axes[0][1])) for f in f_tx])
+                rows["u_rx"].append([(t_dot(f, axes[-1][0]), t_dot(f, axes[-1][2]))
+                                     for f in f_rx])
+                rows["axes"].append(axes[0][:2])
                 rows["j"].append([((t_dot(a[0], b[0]), t_dot(a[2], b[0])),
                                    (t_dot(a[0], b[1]), t_dot(a[2], b[1])))
                                   for a, b in zip(axes[:-1], axes[1:])])
                 rows["cos"].append(geom.cos_incidence)
                 rows["mat"].append(mats)
-                n += 1
+        n_tx, n_rx = len(tx_elements), len(rx_elements)
         self.materials = sorted(mat_index, key=mat_index.get)
-        self.num_paths = n
+        self.num_paths = len(self.k_dep)
+        self.shape = (n_rx, n_tx)
+        pairs = np.arange(n_rx * n_tx)[:, None] * self.num_paths  # flat offset per pair
         self.los_index = np.array(los["index"], dtype=np.int64)
-        self.los_gain = np.array(los["gain"], dtype=np.complex128)
+        self.los_cols = (pairs + self.los_index).ravel()
+        self.los_gain = np.array(los["gain"], dtype=np.complex128).reshape(
+            -1, n_rx * n_tx).T.ravel()
+        self.los_field = np.array(los["field"], dtype=np.complex128).reshape(
+            -1, n_rx, 3).transpose(2, 1, 0)
         self.chains = []
         cosines, mat_ids = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
         start = 0
         for order, rows in sorted(chains.items()):
             p = len(rows["index"])
+            index = np.array(rows["index"], dtype=np.int64)
             # interactions stored [K, P]: interaction k of every path together
             cosines.append(np.array(rows["cos"], dtype=np.float64).T.ravel())
             mat_ids.append(np.array(rows["mat"], dtype=np.int64).T.ravel())
+            fields = [np.broadcast_to(np.reshape(rows[k], shape), (p, n_rx, n_tx, 2))
+                      .transpose(3, 1, 2, 0).reshape(2, -1)
+                      for k, shape in (("u_tx", (p, 1, n_tx, 2)), ("u_rx", (p, n_rx, 1, 2)))]
             self.chains.append(_Chain(
-                index=np.array(rows["index"], dtype=np.int64),
-                slots=slice(start, start + order * p),
-                c=np.array(rows["c"], dtype=np.complex128),
-                u_tx=np.array(rows["u_tx"], dtype=np.float64).T.copy(),
-                u_rx=np.array(rows["u_rx"], dtype=np.float64).T.copy(),
-                j=np.array(rows["j"], dtype=np.float64).reshape(
-                    p, order - 1, 2, 2).transpose(1, 2, 3, 0).copy()))
+                index=index, slots=slice(start, start + order * p),
+                cols=(pairs + index).ravel(),
+                path=np.tile(np.arange(p), n_rx * n_tx) if n_rx * n_tx > 1 else None,
+                c=np.tile(np.array(rows["c"], dtype=np.complex128), n_rx * n_tx),
+                u_tx=fields[0], u_rx=fields[1],
+                axes=np.array(rows["axes"], dtype=np.float64).transpose(1, 2, 0).copy(),
+                j=np.tile(np.array(rows["j"], dtype=np.float64).reshape(
+                    p, order - 1, 2, 2).transpose(1, 2, 3, 0), n_rx * n_tx)))
             start += order * p
         self.cos = np.concatenate(cosines)
         self.mat = np.concatenate(mat_ids)
 
     def etas(self, ctx: EvalContext) -> np.ndarray:
         """Complex eta per kernel material, from the (float) values in ``ctx``."""
-        return np.array([ctx.eta(m).to_complex() for m in self.materials],
-                        dtype=np.complex128)
+        return np.array([ctx.eta(m).to_complex() for m in self.materials], dtype=complex)
 
     @staticmethod
     def _chain_reflections(ch, r_te, r_tm):
-        p = len(ch.index)
-        return r_te[ch.slots].reshape(-1, p), r_tm[ch.slots].reshape(-1, p)
+        """(TE, TM) coefficients [K, Q] of a chain's columns."""
+        te, tm = (r[ch.slots].reshape(-1, len(ch.index)) for r in (r_te, r_tm))
+        return (te, tm) if ch.path is None else (te[:, ch.path], tm[:, ch.path])
 
     @staticmethod
     def _chain_inputs(ch, te, tm):
-        """The (TE, TM) field entering each D_k of a chain."""
+        """The (TE, TM) field entering each D_k of a chain, [Q] each."""
         ins = [(ch.u_tx[0], ch.u_tx[1])]
         for k, j in enumerate(ch.j, 1):
             v_te, v_tm = ins[-1][0] * te[k - 1], ins[-1][1] * tm[k - 1]
@@ -469,45 +458,67 @@ class PathKernel:
                         j[1, 0] * v_te + j[1, 1] * v_tm))
         return ins
 
+    @staticmethod
+    def _chain_lefts(ch, te, tm):
+        """d a / d (the (TE, TM) field leaving each D_k), [Q] each."""
+        lefts = [(ch.c * ch.u_rx[0], ch.c * ch.u_rx[1])]
+        for k in range(len(ch.j), 0, -1):
+            l_te, l_tm = lefts[0][0] * te[k], lefts[0][1] * tm[k]
+            j = ch.j[k - 1]
+            lefts.insert(0, (j[0, 0] * l_te + j[1, 0] * l_tm,
+                             j[0, 1] * l_te + j[1, 1] * l_tm))
+        return lefts
+
     def gains(self, eta) -> np.ndarray:
-        """Complex gain per path at material etas ``eta``."""
+        """Complex gains [rx_el, tx_el, path] at material etas ``eta``."""
         r_te, r_tm, _ = _fresnel_arrays(eta[self.mat], self.cos)
-        a = np.empty(self.num_paths, dtype=np.complex128)
-        a[self.los_index] = self.los_gain
+        a = np.empty(self.shape[0] * self.shape[1] * self.num_paths, dtype=np.complex128)
+        a[self.los_cols] = self.los_gain
         for ch in self.chains:
             te, tm = self._chain_reflections(ch, r_te, r_tm)
             v_te, v_tm = self._chain_inputs(ch, te, tm)[-1]
-            a[ch.index] = ch.c * (ch.u_rx[0] * (v_te * te[-1]) + ch.u_rx[1] * (v_tm * tm[-1]))
-        return a
+            a[ch.cols] = ch.c * (ch.u_rx[0] * (v_te * te[-1]) + ch.u_rx[1] * (v_tm * tm[-1]))
+        return a.reshape(self.shape + (self.num_paths,))
+
+    def fields(self, eta) -> np.ndarray:
+        """World-frame w [3, rx_el, path] with gain = w . f_tx, at etas ``eta``."""
+        r_te, r_tm, _ = _fresnel_arrays(eta[self.mat], self.cos)
+        w = np.empty((3, self.shape[0], self.num_paths), dtype=np.complex128)
+        w[..., self.los_index] = self.los_field
+        for ch in self.chains:
+            te, tm = self._chain_reflections(ch, r_te, r_tm)
+            l_te, l_tm = self._chain_lefts(ch, te, tm)[0]
+            # d a / d (the field entering D_1), on the columns of tx element 0
+            l_te, l_tm = ((l * r[0]).reshape(self.shape + (-1,))[:, 0]
+                          for l, r in ((l_te, te), (l_tm, tm)))
+            w[..., ch.index] = ch.axes[0][:, None] * l_te + ch.axes[1][:, None] * l_tm
+        return w
 
     def vjp(self, eta, grad_a) -> np.ndarray:
         """Pull a cotangent on the gains back onto the etas.
 
-        Both cotangents are dL/dRe + j dL/dIm of a real loss L, so the
-        result is sum_p grad_a[p] * conj(d a_p / d eta_m) per material m.
+        ``grad_a`` has the gains' shape (or [path], for one element pair).
+        Both cotangents are dL/dRe + j dL/dIm of a real loss L, so the result
+        is sum grad_a * conj(d a / d eta_m) per material m.
         """
+        grad_a = np.reshape(grad_a, -1)
         eta_i = eta[self.mat]
         r_te, r_tm, w = _fresnel_arrays(eta_i, self.cos)
         c = self.cos
         d_te = -c / (w * (c + w) ** 2)
-        # w * w, not eta - sin^2: differentiate the root as computed, which
-        # csqrt_posreal's steps can leave a little off for small Im eta
+        # w * w, not eta - sin^2: differentiate the root as computed
         d_tm = c * (eta_i - 2.0 * w * w) / (w * (w + eta_i * c) ** 2)
         pull = np.zeros(len(self.cos), dtype=np.complex128)
         for ch in self.chains:
             te, tm = self._chain_reflections(ch, r_te, r_tm)
             dte, dtm = self._chain_reflections(ch, d_te, d_tm)
-            ins = self._chain_inputs(ch, te, tm)
-            l_te, l_tm = ch.c * ch.u_rx[0], ch.c * ch.u_rx[1]  # d a / d (D_K output)
-            da = np.empty(te.shape, dtype=np.complex128)
-            for k in range(len(ins) - 1, -1, -1):
-                da[k] = l_te * ins[k][0] * dte[k] + l_tm * ins[k][1] * dtm[k]
-                l_te, l_tm = l_te * te[k], l_tm * tm[k]
-                if k:
-                    j = ch.j[k - 1]
-                    l_te, l_tm = (j[0, 0] * l_te + j[1, 0] * l_tm,
-                                  j[0, 1] * l_te + j[1, 1] * l_tm)
-            pull[ch.slots] = (grad_a[ch.index] * np.conj(da)).ravel()
+            da = np.array([l_te * v_te * dte[k] + l_tm * v_tm * dtm[k]
+                           for k, ((l_te, l_tm), (v_te, v_tm)) in enumerate(zip(
+                               self._chain_lefts(ch, te, tm), self._chain_inputs(ch, te, tm)))])
+            da = grad_a[ch.cols] * np.conj(da)
+            if ch.path is not None:  # sum over the element pairs of each path
+                da = da.reshape(len(da), -1, len(ch.index)).sum(axis=1)
+            pull[ch.slots] = da.ravel()
         m = len(self.materials)
         return (np.bincount(self.mat, pull.real, m)
                 + 1j * np.bincount(self.mat, pull.imag, m))
@@ -538,106 +549,86 @@ class ChannelGains:
 
 
 def _fraunhofer_check(scene, tx_dev, rx_dev, offsets_tx, offsets_rx, length):
-    aperture = 0.0
-    for off in (offsets_tx, offsets_rx):
-        if len(off) > 1:
-            span = np.linalg.norm(off.max(axis=0) - off.min(axis=0))
-            aperture = max(aperture, float(span))
-    if aperture > 0.0:
-        fraunhofer = 2.0 * aperture * aperture / scene.wavelength
-        if length < fraunhofer:
-            warnings.warn(
-                f"path {tx_dev.name}->{rx_dev.name} at {length:.1f} m is inside "
-                f"the Fraunhofer distance {fraunhofer:.1f} m; the plane-wave "
-                "synthetic-array assumption degrades here", stacklevel=2)
+    aperture = max(float(np.linalg.norm(np.ptp(off, axis=0)))
+                   for off in (offsets_tx, offsets_rx))
+    fraunhofer = 2.0 * aperture * aperture / scene.wavelength
+    if length < fraunhofer:
+        warnings.warn(
+            f"path {tx_dev.name}->{rx_dev.name} at {length:.1f} m is inside "
+            f"the Fraunhofer distance {fraunhofer:.1f} m; the plane-wave "
+            "synthetic-array assumption degrades here", stacklevel=2)
 
 
-def compute_gains(scene, bvh, pathset, ctx: EvalContext | None = None) -> ChannelGains:
+def compute_gains(scene, bvh, pathset) -> ChannelGains:
     """Complex gains for every path and antenna element pair.
 
     With ``scene.synthetic_array`` the per-element response is the center
-    path times plane-wave phase shifts; otherwise every element pair's path
-    is re-solved, LOS and reflections alike, in one batched solve per path.
+    path's gain per distinct (rx slant, tx slant) times plane-wave phase
+    shifts; otherwise every element pair's path is re-solved, LOS and
+    reflections alike, in one batched solve per path. The coefficients come
+    from one :class:`PathKernel` per link (synthetic) or per path (explicit).
     """
-    if ctx is None:
-        ctx = EvalContext(scene)
-    lam = scene.wavelength
+    arrays = (scene.tx_array, scene.rx_array)
+    (off_tx, slants_tx), (off_rx, slants_rx) = (a.element_layout(scene.wavelength) for a in arrays)
+    # element i evaluates its array's distinct slant of_*[i]
+    (st, of_tx), (sr, of_rx) = (np.unique(s, return_inverse=True) for s in (slants_tx, slants_rx))
+    elements = [[(arr.pattern, s) for s in u.tolist()] for arr, u in zip(arrays, (st, sr))]
     entries = []
     for tx_dev in scene.transmitters:
-        off_tx, slants_tx = scene.tx_array.element_layout(lam)
-        r_tx = np.array(ctx.rotation_rows(tx_dev), dtype=np.float64)
-        off_tx_w = off_tx @ r_tx.T
+        off_tx_w = off_tx @ rotation_from_ypr(*tx_dev.orientation).T
         for rx_dev in scene.receivers:
-            off_rx, slants_rx = scene.rx_array.element_layout(lam)
-            r_rx = np.array(ctx.rotation_rows(rx_dev), dtype=np.float64)
-            off_rx_w = off_rx @ r_rx.T
+            off_rx_w = off_rx @ rotation_from_ypr(*rx_dev.orientation).T
             paths = pathset.between(tx_dev.name, rx_dev.name)
+            link = (tx_dev, rx_dev, elements, off_tx_w, of_tx, off_rx_w, of_rx)
             if paths and scene.synthetic_array:
                 _fraunhofer_check(scene, tx_dev, rx_dev, off_tx_w, off_rx_w,
                                   min(p.length_m for p in paths))
-            gain = _gain_synthetic if scene.synthetic_array else _gain_explicit
-            for path in paths:
-                entries.append(gain(ctx, bvh, path, tx_dev, rx_dev,
-                                    off_tx_w, slants_tx, off_rx_w, slants_rx))
+                entries += _gain_synthetic(scene, bvh, paths, *link)
+            elif paths:
+                entries += [_gain_explicit(scene, bvh, path, *link) for path in paths]
     return ChannelGains(scene=scene, entries=entries, sample_times=np.zeros(1))
 
 
-def _gain_synthetic(ctx, bvh, path, tx_dev, rx_dev,
-                    off_tx_w, slants_tx, off_rx_w, slants_rx):
-    scene, lam = ctx.scene, ctx.scene.wavelength
-    st = sorted(set(float(s) for s in slants_tx))
-    sr = sorted(set(float(s) for s in slants_rx))
-    _, g = element_gains(ctx, bvh, path, tx_dev, rx_dev,
-                         [(scene.tx_array.pattern, s) for s in st],
-                         [(scene.rx_array.pattern, s) for s in sr])
-    base = {(t, r): g[i][j].to_complex()
-            for i, r in enumerate(sr) for j, t in enumerate(st)}
-    k_dep = np.asarray(path.k_dep)
-    k_arr = np.asarray(path.k_arr)
-    ph_tx = np.exp(1j * TWO_PI * (off_tx_w @ k_dep) / lam)
-    ph_rx = np.exp(1j * TWO_PI * (off_rx_w @ -k_arr) / lam)
-    n_rx, n_tx = len(off_rx_w), len(off_tx_w)
-    a = np.empty((n_rx, n_tx), dtype=np.complex128)
-    for i in range(n_rx):
-        for j in range(n_tx):
-            a[i, j] = (base[(float(slants_tx[j]), float(slants_rx[i]))]
-                       * ph_rx[i] * ph_tx[j])
-    return PathGain(
-        tx=tx_dev.name, rx=rx_dev.name, kind=path.kind, seq=path.seq,
-        delay=path.delay_s, a=a[:, :, None],
-        delays=np.full((n_rx, n_tx), path.delay_s),
-        k_dep=np.broadcast_to(k_dep, (n_rx, n_tx, 3)).copy(),
-        k_arr=np.broadcast_to(k_arr, (n_rx, n_tx, 3)).copy(),
-    )
+def _gain_synthetic(scene, bvh, paths, tx_dev, rx_dev, elements,
+                    off_tx_w, of_tx, off_rx_w, of_rx):
+    """One kernel over a link's paths, then the elements' plane-wave phases."""
+    kernel = PathKernel(scene, bvh, [(tx_dev, rx_dev, paths)], *elements)
+    base = kernel.gains(kernel.etas(EvalContext(scene)))[of_rx][:, of_tx]
+    k_dep = np.array([p.k_dep for p in paths])
+    k_arr = np.array([p.k_arr for p in paths])
+    ph_tx = np.exp(1j * TWO_PI * (off_tx_w @ k_dep.T) / scene.wavelength)
+    ph_rx = np.exp(1j * TWO_PI * (off_rx_w @ -k_arr.T) / scene.wavelength)
+    a = base * ph_rx[:, None, :] * ph_tx[None, :, :]  # [rx_el, tx_el, path]
+    shape = a.shape[:2]
+    return [PathGain(tx=tx_dev.name, rx=rx_dev.name, kind=p.kind, seq=p.seq,
+                     delay=p.delay_s, a=a[:, :, q, None],
+                     delays=np.full(shape, p.delay_s),
+                     k_dep=np.broadcast_to(p.k_dep, shape + (3,)),
+                     k_arr=np.broadcast_to(p.k_arr, shape + (3,)))
+            for q, p in enumerate(paths)]
 
 
-def _gain_explicit(ctx, bvh, path, tx_dev, rx_dev,
-                   off_tx_w, slants_tx, off_rx_w, slants_rx):
+def _gain_explicit(scene, bvh, path, tx_dev, rx_dev, elements,
+                   off_tx_w, of_tx, off_rx_w, of_rx):
     """Element pairs re-solved as the columns of one solve; blocked pairs stay 0."""
-    scene = ctx.scene
-    if ctx.has_tracked_position(tx_dev) or ctx.has_tracked_position(rx_dev):
-        raise EmError("tracked device positions need synthetic_array")
     n_rx, n_tx = len(off_rx_w), len(off_tx_w)
-    a = np.zeros((n_rx, n_tx), dtype=np.complex128)
-    delays = np.zeros((n_rx, n_tx))
-    k_dep = np.zeros((n_rx, n_tx, 3))
-    k_arr = np.zeros((n_rx, n_tx, 3))
+    a, delays = np.zeros((n_rx, n_tx), dtype=np.complex128), np.zeros((n_rx, n_tx))
+    k_dep, k_arr = np.zeros((n_rx, n_tx, 3)), np.zeros((n_rx, n_tx, 3))
     # column i * n_tx + j pairs rx element i with tx element j
     tx_cols = np.tile(tx_dev.position + off_tx_w, (n_rx, 1)).T
     rx_cols = np.repeat(rx_dev.position + off_rx_w, n_tx, axis=0).T
     seqs = np.tile(np.array(path.seq, dtype=np.int32).reshape(-1, 1), n_rx * n_tx)
-    valid = []
-    for col, sub in _solve_paths(tx_dev.name, rx_dev.name, tx_cols, rx_cols, seqs, bvh):
-        i, j = divmod(int(col), n_tx)
-        _, g = element_gains(ctx, bvh, sub, tx_dev, rx_dev,
-                             [(scene.tx_array.pattern, float(slants_tx[j]))],
-                             [(scene.rx_array.pattern, float(slants_rx[i]))])
-        a[i, j] = g[0][0].to_complex()
-        delays[i, j] = sub.delay_s
-        k_dep[i, j] = sub.k_dep
-        k_arr[i, j] = sub.k_arr
-        valid.append(sub.delay_s)
-    delay = float(np.mean(valid)) if valid else path.delay_s
+    solved = list(_solve_paths(tx_dev.name, rx_dev.name, tx_cols, rx_cols, seqs, bvh))
+    subs = [sub for _, sub in solved]
+    i, j = np.divmod(np.array([col for col, _ in solved], dtype=np.int64), n_tx)
+    if subs:
+        kernel = PathKernel(scene, bvh, [(tx_dev, rx_dev, subs)], *elements)
+        a[i, j] = kernel.gains(kernel.etas(EvalContext(scene)))[
+            of_rx[i], of_tx[j], np.arange(len(subs))]
+        delays[i, j] = [sub.delay_s for sub in subs]
+        k_dep[i, j] = [sub.k_dep for sub in subs]
+        k_arr[i, j] = [sub.k_arr for sub in subs]
+    delay = float(np.mean(delays[i, j])) if subs else path.delay_s
     return PathGain(tx=tx_dev.name, rx=rx_dev.name, kind=path.kind, seq=path.seq,
                     delay=delay, a=a[:, :, None], delays=delays,
                     k_dep=k_dep, k_arr=k_arr)

@@ -7,11 +7,13 @@ transmitter to maximize mean received power over a map region (gradient
 ascent). Neither materials nor orientation move path geometry, so both
 trace their probes once, before the first iteration.
 
-Material learning evaluates its loss with :class:`em.PathKernel` in numpy:
-each evaluation is one pass over all record paths, and under a tape the
-loss is one fused node over the (eps_r, sigma) leaves, whose partials come
-from the kernel's closed-form vector-Jacobian product. Orientation still
-runs the scalar path coefficients on the tape.
+Both evaluate their frozen paths through one :class:`em.PathKernel`,
+built before the first iteration. Material learning evaluates its loss in
+numpy: each evaluation is one pass over all record paths, and under a tape
+the loss is one fused node over the (eps_r, sigma) leaves, whose partials
+come from the kernel's closed-form vector-Jacobian product. Orientation
+keeps the kernel's fields w fixed and records only the transmitter's
+element fields under the rotation leaves and their products w . f.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .autodiff import DiffComplex, DiffScalar, Tape
 from .autodiff import log as ad_log
 from .bvh import build
-from .channel import GridSpec, point_path_gain, probe_paths, subcarrier_frequencies
+from .channel import GridSpec, ProbeKernel, probe_paths, subcarrier_frequencies
 from .em import EvalContext, PathKernel
 from .scene import eta_per_sigma
 
@@ -146,19 +148,15 @@ def nmse_loss(h_pred, h_true):
     if isinstance(h_pred, (list, tuple)) and h_pred and isinstance(h_pred[0], DiffComplex):
         if len(h_pred) != len(h_true):
             raise OptimError("prediction/target length mismatch")
-        tape = _find_tape(h_pred)
-        pred = np.array([z.to_complex() for z in h_pred])
-        err = pred - h_true
+        parts = [x for z in h_pred for x in (z.re, z.im)]
+        tape = next((x.tape for x in parts
+                     if isinstance(x, DiffScalar) and x.tape is not None), None)
+        err = np.array([z.to_complex() for z in h_pred]) - h_true
         val = float(np.vdot(err, err).real)
         if tape is None:
             return val / norm2
-        inputs, partials = [], []
-        for i, z in enumerate(h_pred):
-            inputs.append(z.re)
-            partials.append(2.0 * err[i].real)
-            inputs.append(z.im)
-            partials.append(2.0 * err[i].imag)
-        return tape.record_custom(val, inputs, partials) / norm2
+        partials = 2.0 * np.column_stack([err.real, err.imag]).ravel()
+        return tape.record_custom(val, parts, partials) / norm2
     h_pred = np.asarray(h_pred, dtype=np.complex128)
     if h_pred.shape != h_true.shape:
         raise OptimError("prediction/target shape mismatch")
@@ -166,44 +164,13 @@ def nmse_loss(h_pred, h_true):
     return float(np.vdot(err, err).real) / norm2
 
 
-def _find_tape(values):
-    for z in values:
-        for comp in (z.re, z.im):
-            if isinstance(comp, DiffScalar) and comp.tape is not None:
-                return comp.tape
-    return None
-
-
-def _projected_sq_error(tape, a_list, basis, target):
-    """||basis @ a - target||^2 as one fused tape node.
-
-    ``basis`` [N, P] holds the fixed delay phasors of the subcarrier grid,
-    ``a_list`` the P path gains. Gradients w.r.t. the gain components are
-    accumulated through the fixed basis in closed form. With gains from the
-    scalar :func:`em.transfer` this is the tape reference that
-    :class:`_FrozenNmse` is tested against.
-    """
-    avals = np.array([z.to_complex() for z in a_list]) if a_list else np.zeros(0, complex)
-    e = (basis @ avals if len(a_list) else np.zeros(len(target), complex)) - target
-    val = float(np.vdot(e, e).real)
-    if tape is None or not a_list:
-        return val
-    g = basis.conj().T @ e
-    inputs, partials = [], []
-    for i, z in enumerate(a_list):
-        inputs.append(z.re)
-        partials.append(2.0 * g[i].real)
-        inputs.append(z.im)
-        partials.append(2.0 * g[i].imag)
-    return tape.record_custom(val, inputs, partials)
-
-
 class _FrozenNmse:
     """Mean NMSE over records of frozen paths, as a numpy function of the etas.
 
     Records are stacked with their paths zero-padded to the longest record:
     ``basis[r, n, q]`` is record r's delay phasor of its path q at
-    subcarrier n. ``path_lists`` follows the kernel's path order.
+    subcarrier n. ``path_lists`` follows the path order of ``kernel``, a
+    kernel of one element pair.
     """
 
     def __init__(self, kernel, path_lists, f, targets):
@@ -223,7 +190,7 @@ class _FrozenNmse:
     def __call__(self, eta, with_grad: bool = False):
         """(loss, d loss / d eta as dL/dRe + j dL/dIm, or None)."""
         a = np.zeros(self.basis.shape[::2], dtype=np.complex128)
-        a[self.rows, self.cols] = self.kernel.gains(eta)
+        a[self.rows, self.cols] = self.kernel.gains(eta)[0, 0]
         err = (self.basis @ a[:, :, None])[:, :, 0] - self.targets
         n = len(self.norm2)
         loss = float(np.sum(np.einsum("rn,rn->r", err.conj(), err).real / self.norm2)) / n
@@ -303,9 +270,8 @@ def _converged(losses, config: OptimConfig) -> bool:
 # -- dataset generation ---------------------------------------------------------
 
 def _central_elements(scene):
-    """(tx, rx) elements of :class:`PathKernel`: each array's first element."""
-    return ((scene.tx_array.pattern, scene.tx_array.slants[0]),
-            (scene.rx_array.pattern, scene.rx_array.slants[0]))
+    """(tx, rx) element lists of :class:`PathKernel`: each array's first element."""
+    return tuple([(a.pattern, a.slants[0])] for a in (scene.tx_array, scene.rx_array))
 
 
 def generate_dataset(scene, positions=None, num_subcarriers: int = 128,
@@ -332,7 +298,7 @@ def generate_dataset(scene, positions=None, num_subcarriers: int = 128,
     links = [(tx_dev, probe, paths) for probe, paths in probe_paths(
         scene, bvh, tx_dev, positions, max_depth, method, num_rays)]
     kernel = PathKernel(scene, bvh, links, *_central_elements(scene))
-    gains = iter(kernel.gains(kernel.etas(EvalContext(scene))))
+    gains = iter(kernel.gains(kernel.etas(EvalContext(scene)))[0, 0])
     records = []
     for _, probe, paths in links:
         h = np.zeros(num_subcarriers, dtype=np.complex128)
@@ -441,9 +407,17 @@ def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = N
     keys = [f"dev:{tx_dev.name}:{k}" for k in _ANGLE_KEYS]
     values = dict(zip(keys, (float(a) for a in tx_dev.orientation)))
 
-    frozen_cells = [(probe.position, paths) for probe, paths in probe_paths(
+    links = [(tx_dev, probe, paths) for probe, paths in probe_paths(
         scene, bvh, tx_dev, cells, config.max_depth, config.method,
         config.num_rays)]  # orientation never moves path geometry
+    log = TrainLog(keys)
+    if all(len(paths) == 0 for _, _, paths in links):
+        warnings.warn("no propagation path reaches the target region; "
+                      "orientation left unchanged")
+        log.append(0, 0.0, values)
+        log.final_values = dict(values)
+        return log
+    probes = ProbeKernel(scene, bvh, tx_dev, links)
 
     def objective_fn(vals, tape=None):
         if tape is not None:
@@ -451,26 +425,12 @@ def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = N
         else:
             leaves = [vals[k] for k in keys]
         ctx = EvalContext(scene, orientations={tx_dev.name: tuple(leaves)})
-        total = 0.0
-        for c, paths in frozen_cells:
-            g, _ = point_path_gain(scene, bvh, tx_dev, c, config.max_depth,
-                                   config.method, config.num_rays, ctx=ctx,
-                                   frozen_paths=paths)
-            total = total + g
-        return total / len(frozen_cells)
+        return probes.total(ctx) / len(links)
 
     # Path gains are tiny in linear units; ascending log(objective) makes
     # the step size scale-free while keeping the optimum and monotonicity.
     def log_objective_fn(vals, tape=None):
         return ad_log(objective_fn(vals, tape))
-
-    log = TrainLog(keys)
-    if all(len(p) == 0 for _, p in frozen_cells):
-        warnings.warn("no propagation path reaches the target region; "
-                      "orientation left unchanged")
-        log.append(0, 0.0, values)
-        log.final_values = dict(values)
-        return log
 
     scale = 1.0
     for it in range(config.iterations):

@@ -98,3 +98,27 @@ def free_space_scene():
 @pytest.fixture(scope="session")
 def box_scene():
     return load_scene(bundled_scene("box"))
+
+
+def projected_sq_error(tape, a_list, basis, target):
+    """||basis @ a - target||^2 as one fused tape node.
+
+    ``basis`` [N, P] holds the fixed delay phasors of the subcarrier grid,
+    ``a_list`` the P path gains. Gradients w.r.t. the gain components are
+    accumulated through the fixed basis in closed form. With gains from the
+    scalar :func:`em.transfer` this is the tape reference that
+    ``optim._FrozenNmse`` is tested against.
+    """
+    avals = np.array([z.to_complex() for z in a_list]) if a_list else np.zeros(0, complex)
+    e = (basis @ avals if len(a_list) else np.zeros(len(target), complex)) - target
+    val = float(np.vdot(e, e).real)
+    if tape is None or not a_list:
+        return val
+    g = basis.conj().T @ e
+    inputs, partials = [], []
+    for i, z in enumerate(a_list):
+        inputs.append(z.re)
+        partials.append(2.0 * g[i].real)
+        inputs.append(z.im)
+        partials.append(2.0 * g[i].imag)
+    return tape.record_custom(val, inputs, partials)

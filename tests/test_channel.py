@@ -14,9 +14,9 @@ from emtrace.channel import (ChannelError, Cir, CoverageMap, GridSpec,
                              point_path_gain, probe_receiver,
                              subcarrier_frequencies)
 from emtrace import em
-from emtrace.autodiff import DiffComplex
-from emtrace.em import compute_gains, geometry_from_path, path_materials, transfer
-from emtrace.em import EvalContext, element_gains, synthetic_phase
+from emtrace.autodiff import DiffComplex, Tape
+from emtrace.em import EmError, compute_gains, geometry_from_path, path_materials, transfer
+from emtrace.em import EvalContext, synthetic_phase
 from emtrace.geometry import SPEED_OF_LIGHT, mat_vec, rotation_from_ypr
 from emtrace.scene import AntennaArray, RadioDevice, RadioMaterial, bundled_scene, load_scene
 from emtrace.tracer import compute_paths, compute_paths_between
@@ -84,6 +84,22 @@ class TestFrequencyResponse:
         tau[0, 0, :] = tau_list
         return Cir(a=a, tau=tau, rx_names=["rx"], tx_names=["tx"],
                    sample_times=np.zeros(1))
+
+    def test_equals_per_path_sum_on_random_tensors(self):
+        rng = np.random.RandomState(8)
+        shape = (2, 2, 3, 2, 4, 3)  # rx, rx_ant, tx, tx_ant, path, time
+        a = rng.randn(*shape) + 1j * rng.randn(*shape)
+        tau = rng.uniform(0, 1e-6, (2, 3, 4))
+        cir = Cir(a=a, tau=tau, rx_names=["r0", "r1"], tx_names=["t0", "t1", "t2"],
+                  sample_times=np.zeros(3))
+        fr = frequency_response(cir, 16, 30e3)
+        phase = np.exp(-2j * np.pi * tau[:, :, :, None] * fr.frequencies)
+        want = np.einsum("abcdpt,acpk->abcdkt", a, phase).reshape(4, 6, 16, 3)
+        assert np.abs(fr.h - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_no_paths_is_zero(self):
+        fr = frequency_response(self.make_cir([], []), 8, 15e3)
+        assert fr.h.shape == (1, 1, 8, 1) and not fr.h.any()
 
     def test_single_path_zero_delay_flat_unity(self):
         fr = frequency_response(self.make_cir([1.0], [0.0]), 64, 15e3)
@@ -278,33 +294,35 @@ class TestTxModeArray:
         # the element phases matter at this point, so the check has teeth
         assert abs(coherent - unphased) > 1e-3 * coherent
 
-    def test_one_transfer_per_distinct_element(self, monkeypatch):
+    def test_one_field_per_distinct_element(self, monkeypatch):
         sc = load_scene(bundled_scene("orient"))  # 8 x 2 V array: one distinct element
         tree = accel.build(sc)
         tx, point = sc.transmitters[0], (60.0, 40.0, 1.5)
         calls = []
-        real = em.transfer
-        monkeypatch.setattr(em, "transfer", lambda *a: calls.append(1) or real(*a))
+        real = em.element_field
+        monkeypatch.setattr(em, "element_field", lambda *a: calls.append(a[0]) or real(*a))
         g, paths = point_path_gain(sc, tree, tx, point, 1, tx_mode="array")
         assert sc.tx_array.num_elements == 16 and len(paths) > 0
-        assert len(calls) == 2 * len(paths)  # one per probe polarization
-        # the forward value is the per-element coherent sum, bit for bit
-        monkeypatch.setattr(em, "transfer", real)
+        # per path: the one distinct tx element and the two probe polarizations
+        assert sorted(calls) == sorted(["tr38901", "_probe_theta", "_probe_phi"] * len(paths))
+        # the forward value is the per-element coherent sum of transfer
+        monkeypatch.setattr(em, "element_field", real)
         ctx = EvalContext(sc)
         offsets, slants = sc.tx_array.element_layout(sc.wavelength)
         rows = ctx.rotation_rows(tx)
         offsets_w = [mat_vec(rows, o.tolist()) for o in offsets]
-        elements = [(sc.tx_array.pattern, float(s)) for s in slants]
+        probe = probe_receiver(point)
         ref = 0.0
         for p in paths:
-            geom, per_el = element_gains(ctx, tree, p, tx, probe_receiver(point),
-                                         elements, [("_probe_theta", 0.0),
-                                                    ("_probe_phi", 0.0)])
+            geom = geometry_from_path(p)
+            mats = path_materials(sc, tree, p)
             phases = [synthetic_phase(geom.k_dep, o, sc.wavelength) for o in offsets_w]
-            for row in per_el:
-                a = sum((el * ph for el, ph in zip(row, phases)), DiffComplex(0.0, 0.0))
+            for pol in ("_probe_theta", "_probe_phi"):
+                a = sum((transfer(ctx, geom, mats, tx, probe, sc.tx_array.pattern, pol,
+                                  float(s), 0.0) * ph for s, ph in zip(slants, phases)),
+                        DiffComplex(0.0, 0.0))
                 ref = ref + a.abs2()
-        assert g == ref
+        assert g == pytest.approx(ref, rel=1e-12)
 
     def test_single_element_equals_central(self, box_scene):
         tree = accel.build(box_scene)
@@ -313,6 +331,51 @@ class TestTxModeArray:
         g_arr, _ = point_path_gain(box_scene, tree, tx, self.POINT, 2, tx_mode="array")
         g_cen, _ = point_path_gain(box_scene, tree, tx, self.POINT, 2)
         assert float(g_arr) == pytest.approx(float(g_cen), rel=1e-14)
+
+
+def test_point_path_gain_rejects_tracked_positions(box_scene):
+    # the kernel's fields are frozen at the traced geometry and materials
+    tree = accel.build(box_scene)
+    tx = box_scene.device("tx")
+    tape = Tape()
+    point = (7.1, 5.9, 1.5)
+    moved = EvalContext(box_scene, positions={"tx": (tape.leaf(2.0, "x"), 4.0, 2.0)})
+    with pytest.raises(EmError, match="positions"):
+        point_path_gain(box_scene, tree, tx, point, 1, ctx=moved)
+    name = next(iter(box_scene.materials))
+    learned = EvalContext(box_scene, material_values={name: (tape.leaf(4.0, "e"), 0.1)})
+    with pytest.raises(EmError, match="material_values"):
+        point_path_gain(box_scene, tree, tx, point, 1, ctx=learned)
+
+
+def test_no_path_coefficient_goes_through_transfer(box_scene, monkeypatch):
+    """``em.transfer`` is the tests' reference; the library evaluates kernels."""
+    import sys
+
+    from emtrace.optim import OptimConfig, optimize_orientation
+    calls = []
+    real = em.transfer
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("emtrace") and getattr(mod, "transfer", None) is real:
+            monkeypatch.setattr(mod, "transfer", lambda *a: calls.append(1) or real(*a))
+    assert not hasattr(em, "element_gains")
+    arr = AntennaArray(num_rows=2, num_cols=1, pattern="tr38901", polarization="VH")
+    sc = dataclasses.replace(box_scene, tx_array=arr, rx_array=arr)
+    tree = accel.build(sc)
+    ps = compute_paths(sc, tree, 2)
+    assert ps.paths
+    compute_gains(sc, tree, ps)
+    compute_gains(dataclasses.replace(sc, synthetic_array=False), tree, ps)
+    grid = GridSpec(origin=(3.0, 2.0), cell_size=1.5, nx=2, ny=2, height=1.5)
+    for tx_mode in ("central", "array"):
+        coverage_map(sc, tree, grid, 2, tx_mode=tx_mode)
+    tx = sc.device("tx")
+    tape = Tape()
+    ctx = EvalContext(sc, orientations={"tx": (tape.leaf(0.3, "yaw"), 0.0, 0.0)})
+    g, _ = point_path_gain(sc, tree, tx, TestTxModeArray.POINT, 2, ctx=ctx)
+    assert tape.gradient(g)["yaw"] != 0.0
+    optimize_orientation(sc, grid, OptimConfig(iterations=2, max_depth=1))
+    assert calls == []
 
 
 class TestCoverageIo:

@@ -10,10 +10,10 @@ from conftest import ground_scene, make_scene, quad_object
 from emtrace import bvh as accel
 from emtrace import tracer
 from emtrace.autodiff import Tape
-from emtrace.em import (EmError, EvalContext, apply_doppler, compute_gains,
-                        fresnel, geometry_for_positions, geometry_from_path,
-                        path_materials, pattern_eval, synthetic_phase,
-                        transfer)
+from emtrace.em import (EmError, EvalContext, PathKernel, _fresnel_arrays, apply_doppler,
+                        compute_gains, fresnel, geometry_for_positions,
+                        geometry_from_path, path_materials, pattern_eval,
+                        synthetic_phase, transfer)
 from emtrace.geometry import SPEED_OF_LIGHT, rotation_from_ypr
 from emtrace.scene import AntennaArray, RadioDevice, RadioMaterial
 from emtrace.tracer import compute_paths, image_solve, path_from_points
@@ -94,6 +94,13 @@ class TestFresnel:
             r_te, r_tm = fresnel(complex(eta), 1.0)
             assert r_te.to_complex() == pytest.approx(want, abs=1e-12)
             assert r_tm.to_complex() == pytest.approx(want, abs=1e-12)
+
+    def test_normal_incidence_equality_low_loss(self):
+        # Im eta << Re eta: the root's imaginary part must not cancel
+        r_te, r_tm = fresnel(3 - 6.1e-7j, 1.0)
+        assert abs(r_te.im - r_tm.im) <= 1e-12 * abs(r_te.im)
+        r_te, r_tm, _ = _fresnel_arrays(np.array([3 - 6.1e-7j]), np.array([1.0]))
+        assert abs(r_te[0].imag - r_tm[0].imag) <= 1e-12 * abs(r_te[0].imag)
 
     def test_grazing_limit(self):
         for eta in [2.0 + 0j, 10 - 3j, 80 - 40j]:
@@ -496,9 +503,14 @@ class TestExplicitArrays:
                         sub = image_solve("tx", "rx", t_pos, r_pos, path.seq, tree)
                     if sub is None:
                         continue
-                    want[i, j] = transfer(ctx, geometry_from_path(sub), mats, tx, rx,
-                                          sc.tx_array.pattern, sc.rx_array.pattern,
-                                          float(sl_tx[j]), float(sl_rx[i])).to_complex()
+                    elements = ([(sc.tx_array.pattern, float(sl_tx[j]))],
+                                [(sc.rx_array.pattern, float(sl_rx[i]))])
+                    kernel = PathKernel(sc, tree, [(tx, rx, [sub])], *elements)
+                    want[i, j] = kernel.gains(kernel.etas(ctx))[0, 0, 0]
+                    ref = transfer(ctx, geometry_from_path(sub), mats, tx, rx,
+                                   sc.tx_array.pattern, sc.rx_array.pattern,
+                                   float(sl_tx[j]), float(sl_rx[i])).to_complex()
+                    assert abs(want[i, j] - ref) <= 1e-12 * abs(ref)
                     assert entry.delays[i, j] == sub.delay_s
                     assert entry.k_dep[i, j].tobytes() == sub.k_dep.tobytes()
             assert entry.a[:, :, 0].tobytes() == want.tobytes()
@@ -518,13 +530,3 @@ class TestExplicitArrays:
         compute_gains(sc, tree, ps)
         # one column per element pair; LOS is order 0
         assert calls == [(0, 32), (1, 32)]
-
-    def test_tracked_positions_rejected(self):
-        # the pairs' endpoints are element positions, not the device positions
-        sc = self.scene()
-        tree = accel.build(sc)
-        ps = compute_paths(sc, tree, 1)
-        tape = Tape()
-        ctx = EvalContext(sc, positions={"rx": (tape.leaf(50.0, "x"), 0.0, 10.0)})
-        with pytest.raises(EmError, match="synthetic_array"):
-            compute_gains(sc, tree, ps, ctx)

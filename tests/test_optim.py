@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ground_scene, quad_object
+from conftest import ground_scene, projected_sq_error, quad_object
 from emtrace import bvh as accel
 from emtrace.autodiff import DiffComplex, Tape
 from emtrace.channel import GridSpec, subcarrier_frequencies
 from emtrace.em import EvalContext, geometry_from_path, path_materials, transfer
 from emtrace.geometry import rotation_from_ypr
 from emtrace.optim import (Dataset, OptimConfig, OptimError, TrainLog,
-                           _projected_sq_error, generate_dataset,
+                           generate_dataset,
                            learn_materials, nmse_loss, optimize_orientation)
 from emtrace.scene import (AntennaArray, RadioDevice, RadioMaterial,
                            bundled_scene, load_scene)
@@ -75,7 +75,7 @@ def test_projected_sq_error_gradient_vs_fd():
                  for i, (x, y) in enumerate(zip(xs, ys))]
         else:
             a = [DiffComplex(x, y) for x, y in zip(xs, ys)]
-        return _projected_sq_error(tape, a, basis, target)
+        return projected_sq_error(tape, a, basis, target)
 
     tape = Tape()
     g = tape.gradient(val(x0, y0, tape))
@@ -287,7 +287,7 @@ class TestLearnMaterials:
                 gains = [transfer(ctx, geometry_from_path(p),
                                   path_materials(init_scene, tree, p), tx, probe,
                                   "iso", "iso", 0.0, 0.0) for p in paths]
-                total = total + _projected_sq_error(tape, gains, basis, target) / norm2
+                total = total + projected_sq_error(tape, gains, basis, target) / norm2
             return total / len(frozen)
 
         rng = np.random.RandomState(13)
@@ -338,6 +338,21 @@ class TestOrientation:
             assert len(log.rows) == iterations
             counts.append(sum(solves))
         assert counts[0] == counts[1] > 0
+
+    def test_builds_one_kernel_whatever_the_iteration_count(self, monkeypatch):
+        from emtrace import em
+        sc = load_scene(bundled_scene("box"))
+        region = GridSpec(origin=(5.0, 3.0), cell_size=1.5, nx=2, ny=1, height=1.5)
+        built = []
+        real = em.PathKernel.__init__
+        monkeypatch.setattr(em.PathKernel, "__init__",
+                            lambda self, *a: built.append(1) or real(self, *a))
+        for iterations in (3, 12):
+            built.clear()
+            log = optimize_orientation(sc, region, OptimConfig(
+                iterations=iterations, max_depth=1, rel_tol=0.0))
+            assert len(log.rows) == iterations
+            assert len(built) == 1
 
     def test_objective_non_decreasing(self):
         sc = load_scene(bundled_scene("orient"))

@@ -11,14 +11,16 @@ import numpy as np
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_first_hit, make_scene, quad_object
+from conftest import brute_force_first_hit, make_scene, projected_sq_error, quad_object
 from emtrace import bvh as accel
-from emtrace.autodiff import Tape
-from emtrace.channel import subcarrier_frequencies
-from emtrace.em import EvalContext, PathKernel, geometry_from_path, path_materials, transfer
-from emtrace.optim import _FrozenNmse, _projected_sq_error
-from emtrace.scene import (RadioDevice, RadioMaterial, bundled_scene, eta_per_sigma,
-                           load_scene)
+from emtrace.autodiff import DiffComplex, Tape
+from emtrace.channel import point_path_gain, probe_receiver, subcarrier_frequencies
+from emtrace.em import (EvalContext, PathKernel, element_field, geometry_from_path,
+                        path_materials, synthetic_phase, transfer)
+from emtrace.geometry import mat_vec
+from emtrace.optim import _FrozenNmse
+from emtrace.scene import (AntennaArray, RadioDevice, RadioMaterial, bundled_scene,
+                           eta_per_sigma, load_scene)
 from emtrace.tracer import (CHUNK, MERGE_TOL, _solve_paths, candidate_set,
                             compute_paths, compute_paths_between,
                             enumerate_candidates, image_solve, solve_points)
@@ -149,46 +151,70 @@ def test_candidates_beyond_one_chunk_match_one_candidate_solves():
 
 angles = st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
 element = st.tuples(st.sampled_from(["tr38901", "dipole"]), st.floats(-math.pi, math.pi))
+elements = st.lists(element, min_size=1, max_size=2)
 # conductivities below 1e-9 S/m can leave a near-vacuum wall reflecting
 # subnormal gains, which carry too few bits for a relative comparison
 material = st.tuples(st.floats(1.0, 20.0), st.one_of(st.just(0.0), st.floats(1e-9, 1.0)))
+
+
+def _two_material_box(tx_dev, rx_dev, params):
+    """The box with the floor and the walls in their own materials."""
+    return dataclasses.replace(
+        BOX, devices=[tx_dev, rx_dev],
+        objects=[dataclasses.replace(o, material="floor_mat" if o.name == "floor"
+                                     else "wall_mat") for o in BOX.objects],
+        materials={n: RadioMaterial(n, "constant", eps_r=e, sigma=s)
+                   for n, (e, s) in params.items()})
 
 
 # without the explain phase, which after a failure reruns hundreds of examples
 @settings(derandomize=True, deadline=None, database=None, max_examples=20,
           phases=(Phase.explicit, Phase.generate, Phase.shrink))
 @given(tx=inside_box, rx=inside_box, tx_ypr=angles, rx_ypr=angles,
-       tx_el=element, rx_el=element, floor=material, walls=material)
+       tx_els=elements, rx_els=elements, floor=material, walls=material)
 def test_path_kernel_matches_transfer_and_tape_gradient(tx, rx, tx_ypr, rx_ypr,
-                                                         tx_el, rx_el, floor, walls):
+                                                         tx_els, rx_els, floor, walls):
     assume(np.linalg.norm(np.subtract(tx, rx)) > 0.1)
     tx_dev = RadioDevice("tx", "tx", np.array(tx), orientation=tx_ypr)
     rx_dev = RadioDevice("rx", "rx", np.array(rx), orientation=rx_ypr)
     # floor and walls get their own materials, so order-2 paths can mix them
     params = {"floor_mat": floor, "wall_mat": walls}
-    scene = dataclasses.replace(
-        BOX, devices=[tx_dev, rx_dev],
-        objects=[dataclasses.replace(o, material="floor_mat" if o.name == "floor"
-                                     else "wall_mat") for o in BOX.objects],
-        materials={n: RadioMaterial(n, "constant", eps_r=e, sigma=s)
-                   for n, (e, s) in params.items()})
+    scene = _two_material_box(tx_dev, rx_dev, params)
     paths = compute_paths_between(scene, TREE, tx_dev, rx_dev, 2)
     assume({p.order for p in paths} == {0, 1, 2})
 
-    kernel = PathKernel(scene, TREE, [(tx_dev, rx_dev, paths)], tx_el, rx_el)
+    kernel = PathKernel(scene, TREE, [(tx_dev, rx_dev, paths)], tx_els, rx_els)
     ctx = EvalContext(scene)
     eta = kernel.etas(ctx)
-    for p, a in zip(paths, kernel.gains(eta)):
-        ref = transfer(ctx, geometry_from_path(p), path_materials(scene, TREE, p),
-                       tx_dev, rx_dev, tx_el[0], rx_el[0], tx_el[1], rx_el[1]).to_complex()
-        assert abs(a - ref) <= 1e-12 * abs(ref)
+    gains, fields = kernel.gains(eta), kernel.fields(eta)
+    rows = ctx.rotation_rows(tx_dev)
+    for q, p in enumerate(paths):
+        geom = geometry_from_path(p)
+        for i, (rx_pat, rx_slant) in enumerate(rx_els):
+            for j, (tx_pat, tx_slant) in enumerate(tx_els):
+                ref = transfer(ctx, geom, path_materials(scene, TREE, p), tx_dev, rx_dev,
+                               tx_pat, rx_pat, tx_slant, rx_slant).to_complex()
+                assert abs(gains[i, j, q] - ref) <= 1e-12 * abs(ref)
+                # the frozen field reproduces the gain from the tx field alone
+                f_tx = element_field(tx_pat, tx_slant, rows, kernel.k_dep[q])
+                assert abs(fields[:, i, q] @ f_tx - ref) <= 1e-12 * abs(ref)
 
-    # NMSE gradient: kernel VJP against the scalar transfer on the tape
+    # the pull-back onto the etas sums over the element pairs
+    rng = np.random.RandomState(6)
+    grad_a = rng.randn(*gains.shape) + 1j * rng.randn(*gains.shape)
+    want = sum(PathKernel(scene, TREE, [(tx_dev, rx_dev, paths)], [t], [r]).vjp(eta, grad_a[i, j])
+               for i, r in enumerate(rx_els) for j, t in enumerate(tx_els))
+    assert np.abs(kernel.vjp(eta, grad_a) - want).max() <= 1e-12 * np.abs(want).max()
+
+    # NMSE gradient: kernel VJP against the scalar transfer on the tape, for
+    # the first element pair
+    tx_el, rx_el = tx_els[0], rx_els[0]
+    kernel = PathKernel(scene, TREE, [(tx_dev, rx_dev, paths)], [tx_el], [rx_el])
     f = subcarrier_frequencies(32, 1e6)
     basis = np.exp(-2j * np.pi * f[:, None] * np.array([p.delay_s for p in paths])[None, :])
     rng = np.random.RandomState(5)
     target = ((rng.randn(len(f)) + 1j * rng.randn(len(f)))
-              * np.abs(basis @ kernel.gains(eta)).max())
+              * np.abs(basis @ kernel.gains(eta)[0, 0]).max())
     loss, grad_eta = _FrozenNmse(kernel, [paths], f, [target])(eta, with_grad=True)
     tape = Tape()
     leaves = {n: (tape.leaf(e, f"{n}:eps_r"), tape.leaf(s, f"{n}:sigma"))
@@ -197,7 +223,7 @@ def test_path_kernel_matches_transfer_and_tape_gradient(tx, rx, tx_ypr, rx_ypr,
     gains = [transfer(tape_ctx, geometry_from_path(p), path_materials(scene, TREE, p),
                       tx_dev, rx_dev, tx_el[0], rx_el[0], tx_el[1], rx_el[1]) for p in paths]
     norm2 = float(np.vdot(target, target).real)
-    ref_loss = _projected_sq_error(tape, gains, basis, target) / norm2
+    ref_loss = projected_sq_error(tape, gains, basis, target) / norm2
     assert abs(loss - ref_loss.value) <= 1e-12 * ref_loss.value
     ref_grad = tape.gradient(ref_loss)
     got = {}
@@ -209,3 +235,71 @@ def test_path_kernel_matches_transfer_and_tape_gradient(tx, rx, tx_ypr, rx_ypr,
     scale = max(abs(g) for g in ref_grad.values())
     for name, want in ref_grad.items():
         assert abs(got.get(name, 0.0) - want) <= 1e-9 * scale
+
+
+arrays = st.builds(AntennaArray, num_rows=st.integers(1, 2), num_cols=st.integers(1, 2),
+                   vertical_spacing=st.floats(0.3, 2.0), horizontal_spacing=st.floats(0.3, 2.0),
+                   pattern=st.sampled_from(["tr38901", "dipole"]),
+                   polarization=st.sampled_from(["V", "H", "VH", "cross"]))
+
+
+# rotations off the axes: unrotated, an element's pattern pole (where the
+# theta/phi parametrization has no derivative) lines up with axis-aligned
+# paths, and a symmetric link has a zero gradient, all rounding noise
+generic_angles = st.tuples(*[st.floats(0.1, 3.0)] * 3)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=10,
+          phases=(Phase.explicit, Phase.generate, Phase.shrink))
+@given(tx=inside_box, rx=inside_box, tx_ypr=generic_angles, array=arrays, floor=material,
+       walls=material)
+def test_point_path_gain_orientation_gradient_matches_transfer(tx, rx, tx_ypr, array,
+                                                                floor, walls):
+    assume(np.linalg.norm(np.subtract(tx, rx)) > 0.1)
+    tx_dev = RadioDevice("tx", "tx", np.array(tx), orientation=tx_ypr)
+    probe = probe_receiver(rx)
+    scene = dataclasses.replace(_two_material_box(tx_dev, probe, {"floor_mat": floor,
+                                                                  "wall_mat": walls}),
+                                devices=[tx_dev], tx_array=array)
+    paths = compute_paths_between(scene, TREE, tx_dev, probe, 2)
+    assume(len(paths) > 1)
+    offsets, slants = array.element_layout(scene.wavelength)
+    keys = ("yaw", "pitch", "roll")
+    for tx_mode in ("central", "array"):
+        tape = Tape()
+        ctx = EvalContext(scene, orientations={"tx": tuple(
+            tape.leaf(a, k) for a, k in zip(tx_ypr, keys))})
+        got, _ = point_path_gain(scene, TREE, tx_dev, rx, 2, ctx=ctx, frozen_paths=paths,
+                                 tx_mode=tx_mode)
+        got_grad = tape.gradient(got)
+
+        # reference: transfer per element on the tape, coherent sum at the
+        # elements' plane-wave phases
+        tape = Tape()
+        ctx = EvalContext(scene, orientations={"tx": tuple(
+            tape.leaf(a, k) for a, k in zip(tx_ypr, keys))})
+        rows = ctx.rotation_rows(tx_dev)
+        if tx_mode == "central":
+            elements = [(array.slants[0], None)]
+        else:
+            elements = [(float(s), mat_vec(rows, o)) for s, o in zip(slants, offsets.tolist())]
+        ref = 0.0
+        for p in paths:
+            geom = geometry_from_path(p)
+            mats = path_materials(scene, TREE, p)
+            for pol in ("_probe_theta", "_probe_phi"):
+                a = DiffComplex(0.0, 0.0)
+                for slant, off in elements:
+                    g = transfer(ctx, geom, mats, tx_dev, probe, array.pattern, pol,
+                                 slant, 0.0)
+                    a = a + (g if off is None else
+                             g * synthetic_phase(geom.k_dep, off, scene.wavelength))
+                ref = ref + a.abs2()
+        ref_grad = tape.gradient(ref)
+        assert abs(got.value - ref.value) <= 1e-12 * ref.value
+        # relative to the largest partial, and to 1e-3 of the gain per
+        # radian at least: a stationary gain (only LOS, at the pattern's
+        # floor, say) has partials of rounding size only
+        scale = max(max(abs(g) for g in ref_grad.values()), 1e-3 * ref.value)
+        for k in keys:
+            assert abs(got_grad[k] - ref_grad[k]) <= 1e-9 * scale
