@@ -12,6 +12,7 @@ arithmetic is handled by :class:`DiffComplex`, a pair of real components.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Sequence
 
@@ -368,18 +369,14 @@ def csqrt_posreal(z: DiffComplex) -> DiffComplex:
     On a tape the root is one node per component, with the derivative of
     the analytic root, dw/dz = 1 / 2w. Differentiating the half-angle steps
     instead would lose the derivative on the positive real axis (sigma = 0)
-    and amplify their rounding when Im z is small. For Re z > 0 the
-    imaginary part is Im z / 2 Re w, which does not cancel.
+    and amplify their rounding when Im z is small. The value is cmath's
+    root, which takes the larger component from the half-angle formula and
+    the smaller as |Im z| over twice it, so neither cancels when
+    |Im z| << |Re z|.
     """
-    re_v, im_v = _val(z.re), _val(z.im)
-    m = math.sqrt(re_v * re_v + im_v * im_v)
-    # rounding can push either half slightly negative near the axes
-    u = math.sqrt(max((m + re_v) * 0.5, 0.0))
-    if re_v > 0.0:  # m - Re z cancels when |Im z| << Re z; + 0.0 keeps Im w = +0
-        v = im_v / (2.0 * u) + 0.0
-    else:
-        v = math.sqrt(max((m - re_v) * 0.5, 0.0))
-        v = -v if im_v < 0.0 else v
+    # + 0.0 puts an imaginary part of -0.0 on the +j side of the cut
+    w = cmath.sqrt(complex(_val(z.re), _val(z.im) + 0.0))
+    u, v = w.real, w.imag
     tape = next((x.tape for x in (z.re, z.im)
                  if isinstance(x, DiffScalar) and x.tape is not None), None)
     if tape is None:

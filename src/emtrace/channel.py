@@ -10,7 +10,7 @@ import numpy as np
 
 from .autodiff import DiffComplex, DiffScalar
 from .em import EmError, EvalContext, PathKernel, element_field, synthetic_phase
-from .geometry import mat_vec, rotation_from_ypr, t_dot
+from .geometry import mat_vec, t_dot
 from .scene import RadioDevice
 from .tracer import candidate_set, compute_paths_between, solve_candidates
 
@@ -224,15 +224,19 @@ class ProbeKernel:
         slants, self.of_element = np.unique(slants, return_inverse=True)
         self.scene, self.tx_dev = scene, tx_dev
         self.elements = [(arr.pattern, float(s)) for s in slants]
-        self.kernel = PathKernel(scene, bvh, links, self.elements, _PROBES)
+        # world-axis tx fields: gains w with a = w . f_tx, whatever the tx orientation
+        self.kernel = PathKernel(scene, bvh, links, None, _PROBES)
         self.num_links = len(links)
         self.link = np.repeat(np.arange(len(links)), [len(paths) for _, _, paths in links])
 
     def gains(self) -> np.ndarray:
         """Path gain per link at the scene's stored materials and orientations."""
-        k = self.kernel
-        a = k.gains(k.etas(EvalContext(self.scene)))  # [probe, slant, path]
-        off_w = self.offsets @ rotation_from_ypr(*self.tx_dev.orientation).T
+        k, ctx = self.kernel, EvalContext(self.scene)
+        rows = ctx.rotation_rows(self.tx_dev)
+        f = np.reshape([[element_field(*e, rows, d) for e in self.elements] for d in k.k_dep],
+                       (-1, len(self.elements), 3))
+        a = np.einsum("rxp,psx->rsp", k.gains(k.etas(ctx)), f)  # [probe, slant, path]
+        off_w = self.offsets @ np.array(rows).T
         k_dep = np.reshape(k.k_dep, (-1, 3))
         phases = np.exp(2j * np.pi * (off_w @ k_dep.T) / self.scene.wavelength)
         a = (a[:, self.of_element] * phases).sum(axis=1)  # coherent sum over elements
@@ -243,12 +247,12 @@ class ProbeKernel:
         """Gain summed over all links under ``ctx``'s tx orientation.
 
         On a tape, only each path's tx element fields f under the rotation
-        and their products with the kernel's frozen fields w are recorded.
+        and their products with the kernel's frozen vectors w are recorded.
         """
         for name in ("positions", "material_values"):
             if any(isinstance(x, DiffScalar) for v in getattr(ctx, name).values() for x in v):
                 raise EmError(f"path gains differentiate tx orientations only, not {name}")
-        w = self.kernel.fields(self.kernel.etas(ctx)).T  # [path, probe, 3]
+        w = self.kernel.gains(self.kernel.etas(ctx)).transpose(2, 0, 1)  # [path, probe, 3]
         w_re, w_im = w.real.tolist(), w.imag.tolist()
         rows = ctx.rotation_rows(self.tx_dev)
         offsets_w = [mat_vec(rows, o) for o in self.offsets.tolist()] if self.array else []

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 user error (bad flags or scene), 2 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 
@@ -184,36 +183,39 @@ def _cmd_gen_dataset(args) -> int:
     return EXIT_OK
 
 
-def _save_log(log, args):
-    """The CSV log, and the final values as JSON when ``--out`` is given."""
-    log.save(args.log)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(log.final_values, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-
 def _cmd_calibrate(args) -> int:
+    import json
+
     scene = load_scene(args.scene)
     dataset = Dataset.load(args.dataset)
     config = OptimConfig(lr=args.lr, lr_sigma=args.lr / 10.0,
                          iterations=args.iterations, max_depth=args.max_depth,
                          method=args.method, num_rays=args.num_rays)
     log = learn_materials(scene, dataset, config)
-    _save_log(log, args)
+    log.save(args.log)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(log.final_values, fh, sort_keys=True, indent=1)
+            fh.write("\n")
     print(f"calibrated {len(log.rows)} iterations, final loss "
           f"{log.losses[-1]:.3e} -> {args.log}")
     return EXIT_OK
 
 
 def _cmd_orient(args) -> int:
+    import json
+
     scene = load_scene(args.scene)
     grid = _grid_from_args(scene, args)
     config = OptimConfig(lr_angle=args.lr, iterations=args.iterations,
                          max_depth=args.max_depth, method=args.method,
                          num_rays=args.num_rays)
     log = optimize_orientation(scene, grid, config)
-    _save_log(log, args)
+    log.save(args.log)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(log.final_values, fh, sort_keys=True, indent=1)
+            fh.write("\n")
     gain_db = 10 * np.log10(log.losses[-1]) if log.losses[-1] > 0 else float("-inf")
     print(f"orientation tuned over {len(log.rows)} iterations, final region "
           f"gain {gain_db:.2f} dB -> {args.log}")

@@ -6,9 +6,9 @@ with explicit basis rotations between segments, free-space spreading,
 plane-wave array phase shifts, and Doppler time evolution.
 
 Every path coefficient of the library comes from :class:`PathKernel`: it
-freezes all of a path's coefficient but the Fresnel coefficients (and,
-through :meth:`PathKernel.fields`, the tx field), so an evaluation over all
-paths is one numpy pass. :func:`transfer` is the scalar reference it is
+freezes all of a path's coefficient but the Fresnel coefficients (and, with
+world-axis tx fields, the tx field), so an evaluation over all paths is one
+numpy pass. :func:`transfer` is the scalar reference it is
 tested against: on scalar-generic tuples it yields plain floats, or
 tape-recorded scalars when materials, orientations or positions are leaves.
 
@@ -33,6 +33,7 @@ from .scene import material_eval
 from .tracer import _solve_paths, solve_points
 
 TWO_PI = 2.0 * math.pi
+_WORLD_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _LN10_OVER_20 = math.log(10.0) / 20.0
 
 
@@ -70,12 +71,20 @@ def _pattern_tr38901(theta, phi):
     return exp(gain_db * _LN10_OVER_20), 0.0
 
 
+def _probe_theta(theta, phi):
+    return 1.0, 0.0
+
+
+def _probe_phi(theta, phi):
+    return 0.0, 1.0
+
+
 _PATTERNS = {"iso": _pattern_iso, "dipole": _pattern_dipole,
              "tr38901": _pattern_tr38901,
              # internal coverage probes: orthonormal polarization basis of
              # the arrival direction, so their gains sum to the full
              # transverse field power
-             "_probe_theta": _pattern_iso, "_probe_phi": lambda theta, phi: (0.0, 1.0)}
+             "_probe_theta": _probe_theta, "_probe_phi": _probe_phi}
 
 
 def get_pattern(name: str):
@@ -211,7 +220,14 @@ class EvalContext:
 
     def position(self, device):
         p = self.positions.get(device.name)
-        return tuple(float(x) for x in device.position) if p is None else p
+        if p is not None:
+            return p
+        return (float(device.position[0]), float(device.position[1]),
+                float(device.position[2]))
+
+    def has_tracked_position(self, device) -> bool:
+        p = self.positions.get(device.name)
+        return p is not None and any(isinstance(x, DiffScalar) for x in p)
 
 
 # -- per-path transfer -------------------------------------------------------
@@ -299,21 +315,12 @@ def path_materials(scene, bvh, path) -> tuple:
 def _fresnel_arrays(eta, cos_theta_i):
     """(r_TE, r_TM, w) of :func:`fresnel`, elementwise over numpy arrays.
 
-    The root takes csqrt_posreal's floating-point steps: r_TE and r_TM
-    subtract nearly equal numbers when eta is close to 1, so a root
-    rounded differently would be amplified there.
+    The root is numpy's, which gives the bits of the cmath root in
+    csqrt_posreal: r_TE and r_TM subtract nearly equal numbers when eta is
+    close to 1, so a root rounded differently would be amplified there.
     """
-    re, im = eta.real - (1.0 - cos_theta_i * cos_theta_i), eta.imag
-    m = np.sqrt(re * re + im * im)
-    u = np.sqrt(np.maximum((m + re) * 0.5, 0.0))
-    pos = re > 0.0
-    if pos.all():  # Re z > 0, as always for eps_r >= 1 off grazing
-        v = im / (2.0 * u) + 0.0
-    else:
-        v = np.sqrt(np.maximum((m - re) * 0.5, 0.0))
-        v = np.where(im < 0.0, -v, v)
-        v[pos] = im[pos] / (2.0 * u[pos]) + 0.0
-    w = u + 1j * v
+    # + 0j puts an imaginary part of -0.0 on the +j side of the cut, as there
+    w = np.sqrt(eta - (1.0 - cos_theta_i * cos_theta_i) + 0j)
     ec = eta * cos_theta_i
     return (cos_theta_i - w) / (cos_theta_i + w), (w - ec) / (w + ec), w
 
@@ -333,7 +340,6 @@ class _Chain:
     c: np.ndarray  # [Q] complex lambda / (4 pi d) e^{-j 2 pi f tau}
     u_tx: np.ndarray  # [2, Q] tx field on (TE, TM) of the first interaction
     u_rx: np.ndarray  # [2, Q] rx field on (TE, TM) of the last interaction
-    axes: np.ndarray  # [2, 3, P] world (TE, TM) axes of the first interaction
     j: np.ndarray  # [K - 1, 2, 2, Q] basis changes between interactions
 
 
@@ -355,14 +361,15 @@ class PathKernel:
     interaction count. ``links`` holds (tx device, rx device, paths);
     ``tx_elements`` / ``rx_elements`` list (pattern, slant) pairs at the
     devices' stored orientations. Gains are [rx_el, tx_el, path], paths in
-    link order. :meth:`fields` leaves the tx field out, so a transmitter may
-    turn without a new kernel.
+    link order. With ``tx_elements=None`` the tx fields are the world axes:
+    gains [rx_el, 3, path] are then the frozen vector w with a = w . f_tx,
+    so a transmitter may turn without a new kernel.
     """
 
     def __init__(self, scene, bvh, links, tx_elements, rx_elements):
         ctx, lam, freq = EvalContext(scene), scene.wavelength, scene.frequency_hz
         mat_index = {}  # material name -> position in eta
-        los = {"index": [], "gain": [], "field": []}
+        los = {"index": [], "gain": []}
         chains = {}  # K -> per-path lists of the _Chain fields, cosines and materials
         self.k_dep = []  # per path, the direction tx fields are evaluated in
         for tx_dev, rx_dev, paths in links:
@@ -371,7 +378,8 @@ class PathKernel:
                 n = len(self.k_dep)
                 geom = geometry_from_path(path)
                 self.k_dep.append(geom.k_dep)
-                f_tx = [element_field(*e, rot_tx, geom.k_dep) for e in tx_elements]
+                f_tx = _WORLD_AXES if tx_elements is None else [
+                    element_field(*e, rot_tx, geom.k_dep) for e in tx_elements]
                 k_back = t_scale(geom.k_arr, -1.0)
                 f_rx = [element_field(*e, rot_rx, k_back) for e in rx_elements]
                 c = (lam / (2.0 * TWO_PI * geom.length)
@@ -381,7 +389,6 @@ class PathKernel:
                 if not mats:
                     los["index"].append(n)
                     los["gain"].append([[c * t_dot(ft, fr) for ft in f_tx] for fr in f_rx])
-                    los["field"].append([t_scale(fr, c) for fr in f_rx])
                     continue
                 # (TE, TM in, TM out) axes of each interaction
                 axes = []
@@ -390,19 +397,18 @@ class PathKernel:
                     axes.append((e_perp, t_cross(geom.seg_dirs[k], e_perp),
                                  t_cross(e_perp, geom.seg_dirs[k + 1])))
                 rows = chains.setdefault(len(mats), {k: [] for k in (
-                    "index", "c", "u_tx", "u_rx", "axes", "j", "cos", "mat")})
+                    "index", "c", "u_tx", "u_rx", "j", "cos", "mat")})
                 rows["index"].append(n)
                 rows["c"].append(c)
                 rows["u_tx"].append([(t_dot(f, axes[0][0]), t_dot(f, axes[0][1])) for f in f_tx])
                 rows["u_rx"].append([(t_dot(f, axes[-1][0]), t_dot(f, axes[-1][2]))
                                      for f in f_rx])
-                rows["axes"].append(axes[0][:2])
                 rows["j"].append([((t_dot(a[0], b[0]), t_dot(a[2], b[0])),
                                    (t_dot(a[0], b[1]), t_dot(a[2], b[1])))
                                   for a, b in zip(axes[:-1], axes[1:])])
                 rows["cos"].append(geom.cos_incidence)
                 rows["mat"].append(mats)
-        n_tx, n_rx = len(tx_elements), len(rx_elements)
+        n_tx, n_rx = 3 if tx_elements is None else len(tx_elements), len(rx_elements)
         self.materials = sorted(mat_index, key=mat_index.get)
         self.num_paths = len(self.k_dep)
         self.shape = (n_rx, n_tx)
@@ -411,8 +417,6 @@ class PathKernel:
         self.los_cols = (pairs + self.los_index).ravel()
         self.los_gain = np.array(los["gain"], dtype=np.complex128).reshape(
             -1, n_rx * n_tx).T.ravel()
-        self.los_field = np.array(los["field"], dtype=np.complex128).reshape(
-            -1, n_rx, 3).transpose(2, 1, 0)
         self.chains = []
         cosines, mat_ids = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
         start = 0
@@ -431,7 +435,6 @@ class PathKernel:
                 path=np.tile(np.arange(p), n_rx * n_tx) if n_rx * n_tx > 1 else None,
                 c=np.tile(np.array(rows["c"], dtype=np.complex128), n_rx * n_tx),
                 u_tx=fields[0], u_rx=fields[1],
-                axes=np.array(rows["axes"], dtype=np.float64).transpose(1, 2, 0).copy(),
                 j=np.tile(np.array(rows["j"], dtype=np.float64).reshape(
                     p, order - 1, 2, 2).transpose(1, 2, 3, 0), n_rx * n_tx)))
             start += order * p
@@ -440,7 +443,8 @@ class PathKernel:
 
     def etas(self, ctx: EvalContext) -> np.ndarray:
         """Complex eta per kernel material, from the (float) values in ``ctx``."""
-        return np.array([ctx.eta(m).to_complex() for m in self.materials], dtype=complex)
+        return np.array([ctx.eta(m).to_complex() for m in self.materials],
+                        dtype=np.complex128)
 
     @staticmethod
     def _chain_reflections(ch, r_te, r_tm):
@@ -458,17 +462,6 @@ class PathKernel:
                         j[1, 0] * v_te + j[1, 1] * v_tm))
         return ins
 
-    @staticmethod
-    def _chain_lefts(ch, te, tm):
-        """d a / d (the (TE, TM) field leaving each D_k), [Q] each."""
-        lefts = [(ch.c * ch.u_rx[0], ch.c * ch.u_rx[1])]
-        for k in range(len(ch.j), 0, -1):
-            l_te, l_tm = lefts[0][0] * te[k], lefts[0][1] * tm[k]
-            j = ch.j[k - 1]
-            lefts.insert(0, (j[0, 0] * l_te + j[1, 0] * l_tm,
-                             j[0, 1] * l_te + j[1, 1] * l_tm))
-        return lefts
-
     def gains(self, eta) -> np.ndarray:
         """Complex gains [rx_el, tx_el, path] at material etas ``eta``."""
         r_te, r_tm, _ = _fresnel_arrays(eta[self.mat], self.cos)
@@ -479,20 +472,6 @@ class PathKernel:
             v_te, v_tm = self._chain_inputs(ch, te, tm)[-1]
             a[ch.cols] = ch.c * (ch.u_rx[0] * (v_te * te[-1]) + ch.u_rx[1] * (v_tm * tm[-1]))
         return a.reshape(self.shape + (self.num_paths,))
-
-    def fields(self, eta) -> np.ndarray:
-        """World-frame w [3, rx_el, path] with gain = w . f_tx, at etas ``eta``."""
-        r_te, r_tm, _ = _fresnel_arrays(eta[self.mat], self.cos)
-        w = np.empty((3, self.shape[0], self.num_paths), dtype=np.complex128)
-        w[..., self.los_index] = self.los_field
-        for ch in self.chains:
-            te, tm = self._chain_reflections(ch, r_te, r_tm)
-            l_te, l_tm = self._chain_lefts(ch, te, tm)[0]
-            # d a / d (the field entering D_1), on the columns of tx element 0
-            l_te, l_tm = ((l * r[0]).reshape(self.shape + (-1,))[:, 0]
-                          for l, r in ((l_te, te), (l_tm, tm)))
-            w[..., ch.index] = ch.axes[0][:, None] * l_te + ch.axes[1][:, None] * l_tm
-        return w
 
     def vjp(self, eta, grad_a) -> np.ndarray:
         """Pull a cotangent on the gains back onto the etas.
@@ -512,9 +491,16 @@ class PathKernel:
         for ch in self.chains:
             te, tm = self._chain_reflections(ch, r_te, r_tm)
             dte, dtm = self._chain_reflections(ch, d_te, d_tm)
-            da = np.array([l_te * v_te * dte[k] + l_tm * v_tm * dtm[k]
-                           for k, ((l_te, l_tm), (v_te, v_tm)) in enumerate(zip(
-                               self._chain_lefts(ch, te, tm), self._chain_inputs(ch, te, tm)))])
+            ins = self._chain_inputs(ch, te, tm)
+            l_te, l_tm = ch.c * ch.u_rx[0], ch.c * ch.u_rx[1]  # d a / d (D_K output)
+            da = np.empty(te.shape, dtype=np.complex128)
+            for k in range(len(ins) - 1, -1, -1):
+                da[k] = l_te * ins[k][0] * dte[k] + l_tm * ins[k][1] * dtm[k]
+                l_te, l_tm = l_te * te[k], l_tm * tm[k]
+                if k:
+                    j = ch.j[k - 1]
+                    l_te, l_tm = (j[0, 0] * l_te + j[1, 0] * l_tm,
+                                  j[0, 1] * l_te + j[1, 1] * l_tm)
             da = grad_a[ch.cols] * np.conj(da)
             if ch.path is not None:  # sum over the element pairs of each path
                 da = da.reshape(len(da), -1, len(ch.index)).sum(axis=1)
@@ -549,14 +535,18 @@ class ChannelGains:
 
 
 def _fraunhofer_check(scene, tx_dev, rx_dev, offsets_tx, offsets_rx, length):
-    aperture = max(float(np.linalg.norm(np.ptp(off, axis=0)))
-                   for off in (offsets_tx, offsets_rx))
-    fraunhofer = 2.0 * aperture * aperture / scene.wavelength
-    if length < fraunhofer:
-        warnings.warn(
-            f"path {tx_dev.name}->{rx_dev.name} at {length:.1f} m is inside "
-            f"the Fraunhofer distance {fraunhofer:.1f} m; the plane-wave "
-            "synthetic-array assumption degrades here", stacklevel=2)
+    aperture = 0.0
+    for off in (offsets_tx, offsets_rx):
+        if len(off) > 1:
+            span = np.linalg.norm(off.max(axis=0) - off.min(axis=0))
+            aperture = max(aperture, float(span))
+    if aperture > 0.0:
+        fraunhofer = 2.0 * aperture * aperture / scene.wavelength
+        if length < fraunhofer:
+            warnings.warn(
+                f"path {tx_dev.name}->{rx_dev.name} at {length:.1f} m is inside "
+                f"the Fraunhofer distance {fraunhofer:.1f} m; the plane-wave "
+                "synthetic-array assumption degrades here", stacklevel=2)
 
 
 def compute_gains(scene, bvh, pathset) -> ChannelGains:

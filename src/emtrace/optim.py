@@ -12,7 +12,7 @@ built before the first iteration. Material learning evaluates its loss in
 numpy: each evaluation is one pass over all record paths, and under a tape
 the loss is one fused node over the (eps_r, sigma) leaves, whose partials
 come from the kernel's closed-form vector-Jacobian product. Orientation
-keeps the kernel's fields w fixed and records only the transmitter's
+keeps the kernel's vectors w fixed and records only the transmitter's
 element fields under the rotation leaves and their products w . f.
 """
 
@@ -148,20 +148,32 @@ def nmse_loss(h_pred, h_true):
     if isinstance(h_pred, (list, tuple)) and h_pred and isinstance(h_pred[0], DiffComplex):
         if len(h_pred) != len(h_true):
             raise OptimError("prediction/target length mismatch")
-        parts = [x for z in h_pred for x in (z.re, z.im)]
-        tape = next((x.tape for x in parts
-                     if isinstance(x, DiffScalar) and x.tape is not None), None)
-        err = np.array([z.to_complex() for z in h_pred]) - h_true
+        tape = _find_tape(h_pred)
+        pred = np.array([z.to_complex() for z in h_pred])
+        err = pred - h_true
         val = float(np.vdot(err, err).real)
         if tape is None:
             return val / norm2
-        partials = 2.0 * np.column_stack([err.real, err.imag]).ravel()
-        return tape.record_custom(val, parts, partials) / norm2
+        inputs, partials = [], []
+        for i, z in enumerate(h_pred):
+            inputs.append(z.re)
+            partials.append(2.0 * err[i].real)
+            inputs.append(z.im)
+            partials.append(2.0 * err[i].imag)
+        return tape.record_custom(val, inputs, partials) / norm2
     h_pred = np.asarray(h_pred, dtype=np.complex128)
     if h_pred.shape != h_true.shape:
         raise OptimError("prediction/target shape mismatch")
     err = h_pred - h_true
     return float(np.vdot(err, err).real) / norm2
+
+
+def _find_tape(values):
+    for z in values:
+        for comp in (z.re, z.im):
+            if isinstance(comp, DiffScalar) and comp.tape is not None:
+                return comp.tape
+    return None
 
 
 class _FrozenNmse:

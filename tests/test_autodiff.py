@@ -1,5 +1,6 @@
 """Tape correctness: per-op partials against finite differences, graph sweeps."""
 
+import cmath
 import math
 
 import numpy as np
@@ -180,6 +181,12 @@ class TestDiffComplex:
     def test_csqrt_negative_real_axis(self):
         w = csqrt_posreal(DiffComplex(-4.0, 0.0)).to_complex()
         assert w == pytest.approx(2j)
+
+    def test_csqrt_small_imaginary_part(self):
+        # |Im z| << |Re z| on either side of the imaginary axis: no cancellation
+        for z in (-0.25 - 1e-9j, 3 - 6.1e-7j, -4 - 1e-12j, 1e-9 - 2j):
+            w = csqrt_posreal(DiffComplex.from_complex(z)).to_complex()
+            assert abs(w - cmath.sqrt(z)) <= 1e-15 * abs(cmath.sqrt(z))
 
     def test_csqrt_gradient_matches_fd(self):
         def f(re, im):

@@ -13,7 +13,7 @@ from emtrace.channel import (ChannelError, Cir, CoverageMap, GridSpec,
                              build_cir, coverage_map, frequency_response,
                              point_path_gain, probe_receiver,
                              subcarrier_frequencies)
-from emtrace import em
+from emtrace import channel, em
 from emtrace.autodiff import DiffComplex, Tape
 from emtrace.em import EmError, compute_gains, geometry_from_path, path_materials, transfer
 from emtrace.em import EvalContext, synthetic_phase
@@ -261,6 +261,26 @@ def test_fibonacci_coverage_launches_once(box_scene, monkeypatch):
             assert cm.gains[iy, ix] == float(g)
 
 
+@pytest.mark.parametrize("tx_mode", ["central", "array"])
+def test_coverage_chunks_keep_each_cell_in_place(box_scene, monkeypatch, tx_mode):
+    arr = AntennaArray(num_rows=2, num_cols=2, pattern="tr38901", polarization="VH")
+    tx = dataclasses.replace(box_scene.device("tx"), orientation=(0.4, -0.2, 0.1))
+    sc = dataclasses.replace(box_scene, tx_array=arr, devices=[tx])
+    tree = accel.build(sc)
+    grid = GridSpec(origin=(3.0, 2.0), cell_size=1.5, nx=3, ny=3, height=1.5)
+    whole = coverage_map(sc, tree, grid, 2, tx_mode=tx_mode)
+    # five chunks of two cells, the last one short
+    monkeypatch.setattr(channel, "CELL_CHUNK", 2)
+    chunked = coverage_map(sc, tree, grid, 2, tx_mode=tx_mode)
+    assert chunked.gains.tobytes() == whole.gains.tobytes()
+    # every cell differs, so a gain placed in the wrong cell shows
+    assert len(set(whole.gains.ravel().tolist())) == grid.num_cells
+    for iy in range(grid.ny):
+        for ix in range(grid.nx):
+            g, _ = point_path_gain(sc, tree, tx, grid.cell_center(ix, iy), 2, tx_mode=tx_mode)
+            assert chunked.gains[iy, ix] == g
+
+
 class TestTxModeArray:
     POINT = np.array([7.1, 5.9, 1.5])
 
@@ -300,13 +320,14 @@ class TestTxModeArray:
         tx, point = sc.transmitters[0], (60.0, 40.0, 1.5)
         calls = []
         real = em.element_field
-        monkeypatch.setattr(em, "element_field", lambda *a: calls.append(a[0]) or real(*a))
+        for mod in (em, channel):  # every module that binds it
+            monkeypatch.setattr(mod, "element_field", lambda *a: calls.append(a[0]) or real(*a))
         g, paths = point_path_gain(sc, tree, tx, point, 1, tx_mode="array")
         assert sc.tx_array.num_elements == 16 and len(paths) > 0
         # per path: the one distinct tx element and the two probe polarizations
         assert sorted(calls) == sorted(["tr38901", "_probe_theta", "_probe_phi"] * len(paths))
         # the forward value is the per-element coherent sum of transfer
-        monkeypatch.setattr(em, "element_field", real)
+        monkeypatch.undo()
         ctx = EvalContext(sc)
         offsets, slants = sc.tx_array.element_layout(sc.wavelength)
         rows = ctx.rotation_rows(tx)

@@ -102,6 +102,19 @@ class TestFresnel:
         r_te, r_tm, _ = _fresnel_arrays(np.array([3 - 6.1e-7j]), np.array([1.0]))
         assert abs(r_te[0].imag - r_tm[0].imag) <= 1e-12 * abs(r_te[0].imag)
 
+    def test_arrays_mixed_sign_real_part(self):
+        # eps_r 0.5 (a power_law material) beside eps_r 3 in one call: Re(eta -
+        # sin^2) takes both signs, and neither root component may cancel
+        eta = np.array([0.5 - 0.3j, 3 - 6.1e-7j, 0.5 - 1e-9j, 3.0 + 0j, 0.25 + 0j, 1 - 1e9j])
+        cos = np.array([0.5, 1.0, 0.5, 0.3, 0.5, 0.5])
+        r_te, r_tm, w = _fresnel_arrays(eta, cos)
+        for k in range(len(eta)):
+            # the bits of cmath's root, which the scalar fresnel takes
+            assert w[k] == cmath.sqrt(eta[k] - (1.0 - cos[k] * cos[k]))
+            te, tm = fresnel(complex(eta[k]), float(cos[k]))
+            assert r_te[k] == pytest.approx(te.to_complex(), rel=1e-12)
+            assert r_tm[k] == pytest.approx(tm.to_complex(), rel=1e-12)
+
     def test_grazing_limit(self):
         for eta in [2.0 + 0j, 10 - 3j, 80 - 40j]:
             r_te, _ = fresnel(eta, 1e-9)

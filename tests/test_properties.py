@@ -186,7 +186,9 @@ def test_path_kernel_matches_transfer_and_tape_gradient(tx, rx, tx_ypr, rx_ypr,
     kernel = PathKernel(scene, TREE, [(tx_dev, rx_dev, paths)], tx_els, rx_els)
     ctx = EvalContext(scene)
     eta = kernel.etas(ctx)
-    gains, fields = kernel.gains(eta), kernel.fields(eta)
+    gains = kernel.gains(eta)
+    # world-axis tx fields: the frozen vector w with a = w . f_tx
+    fields = PathKernel(scene, TREE, [(tx_dev, rx_dev, paths)], None, rx_els).gains(eta)
     rows = ctx.rotation_rows(tx_dev)
     for q, p in enumerate(paths):
         geom = geometry_from_path(p)
@@ -197,7 +199,7 @@ def test_path_kernel_matches_transfer_and_tape_gradient(tx, rx, tx_ypr, rx_ypr,
                 assert abs(gains[i, j, q] - ref) <= 1e-12 * abs(ref)
                 # the frozen field reproduces the gain from the tx field alone
                 f_tx = element_field(tx_pat, tx_slant, rows, kernel.k_dep[q])
-                assert abs(fields[:, i, q] @ f_tx - ref) <= 1e-12 * abs(ref)
+                assert abs(fields[i, :, q] @ f_tx - ref) <= 1e-12 * abs(ref)
 
     # the pull-back onto the etas sums over the element pairs
     rng = np.random.RandomState(6)
