@@ -33,10 +33,9 @@ class Bvh:
     """Immutable after build; concurrent queries are safe."""
 
     def __init__(self, scene):
-        v0, e1, e2, obj_ids, tri_ids = _gather(scene)
+        v0, e1, e2, obj_ids = _gather(scene)
         self.num_prims = len(v0)
         self.prim_object = obj_ids
-        self.prim_triangle = tri_ids
         self.v0, self.e1, self.e2 = v0, e1, e2
         n = np.cross(e1, e2) if len(v0) else np.zeros((0, 3))
         lens = np.linalg.norm(n, axis=1) if len(v0) else np.zeros(0)
@@ -193,7 +192,7 @@ class Bvh:
 
 def _gather(scene):
     """Concatenate all object triangles into flat primitive arrays."""
-    v0s, e1s, e2s, objs, tids = [], [], [], [], []
+    v0s, e1s, e2s, objs = [], [], [], []
     for oi, obj in enumerate(scene.objects):
         if not len(obj.triangles):
             continue
@@ -203,12 +202,10 @@ def _gather(scene):
         e1s.append(v[t[:, 1]] - v[t[:, 0]])
         e2s.append(v[t[:, 2]] - v[t[:, 0]])
         objs.append(np.full(len(t), oi))
-        tids.append(np.arange(len(t)))
     if not v0s:
         z = np.zeros((0, 3))
-        return z, z.copy(), z.copy(), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    return (np.vstack(v0s), np.vstack(e1s), np.vstack(e2s),
-            np.concatenate(objs), np.concatenate(tids))
+        return z, z.copy(), z.copy(), np.zeros(0, dtype=int)
+    return np.vstack(v0s), np.vstack(e1s), np.vstack(e2s), np.concatenate(objs)
 
 
 def build(scene) -> Bvh:

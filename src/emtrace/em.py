@@ -7,8 +7,9 @@ plane-wave array phase shifts, and Doppler time evolution.
 
 Every path coefficient of the library comes from :class:`PathKernel`: it
 freezes all of a path's coefficient but the Fresnel coefficients (and, with
-world-axis tx fields, the tx field), so an evaluation over all paths is one
-numpy pass. :func:`transfer` is the scalar reference it is
+world-axis tx fields, the tx field), and pads shorter paths to one chain
+of transfer matrices, so an evaluation over all paths and interaction
+counts is one numpy pass. :func:`transfer` is the scalar reference it is
 tested against: on scalar-generic tuples it yields plain floats, or
 tape-recorded scalars when materials, orientations or positions are leaves.
 
@@ -20,8 +21,10 @@ is e_perp x k_out, which makes r_TM equal r_TE at normal incidence.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -35,6 +38,10 @@ from .tracer import _solve_paths, solve_points
 TWO_PI = 2.0 * math.pi
 _WORLD_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _LN10_OVER_20 = math.log(10.0) / 20.0
+# Fresnel cosines are raised to this, the root of the smallest normal float,
+# so that |cos + w|^2 cannot underflow when eta is 1 and w is 0; at such
+# grazing incidence the coefficients have long reached their limits
+_COS_FLOOR = math.sqrt(sys.float_info.min)
 
 
 class EmError(ValueError):
@@ -137,6 +144,8 @@ def fresnel(eta, cos_theta_i):
         eta = DiffComplex(eta.real, eta.imag)
     elif not isinstance(eta, DiffComplex):
         eta = DiffComplex(eta, 0.0)
+    if cos_theta_i < _COS_FLOOR:
+        cos_theta_i = _COS_FLOOR
     sin2 = 1.0 - cos_theta_i * cos_theta_i
     w = csqrt_posreal(eta - sin2)
     r_te = (cos_theta_i - w) / (cos_theta_i + w)
@@ -224,10 +233,6 @@ class EvalContext:
             return p
         return (float(device.position[0]), float(device.position[1]),
                 float(device.position[2]))
-
-    def has_tracked_position(self, device) -> bool:
-        p = self.positions.get(device.name)
-        return p is not None and any(isinstance(x, DiffScalar) for x in p)
 
 
 # -- per-path transfer -------------------------------------------------------
@@ -319,28 +324,11 @@ def _fresnel_arrays(eta, cos_theta_i):
     csqrt_posreal: r_TE and r_TM subtract nearly equal numbers when eta is
     close to 1, so a root rounded differently would be amplified there.
     """
+    cos_theta_i = np.maximum(cos_theta_i, _COS_FLOOR)
     # + 0j puts an imaginary part of -0.0 on the +j side of the cut, as there
     w = np.sqrt(eta - (1.0 - cos_theta_i * cos_theta_i) + 0j)
     ec = eta * cos_theta_i
     return (cos_theta_i - w) / (cos_theta_i + w), (w - ec) / (w + ec), w
-
-
-@dataclass
-class _Chain:
-    """The frozen paths with one interaction count K >= 1, stacked along P.
-
-    Columns (pair q = rx_el * n_tx + tx_el, path), pair-major, make every
-    evaluation step one flat elementwise numpy operation.
-    """
-
-    index: np.ndarray  # [P] positions in the kernel's path order
-    slots: slice  # their interactions in the kernel's flat arrays, as [K, P]
-    cols: np.ndarray  # [Q] positions of the columns in the flat gains
-    path: np.ndarray | None  # [Q] column -> chain path; None for one element pair
-    c: np.ndarray  # [Q] complex lambda / (4 pi d) e^{-j 2 pi f tau}
-    u_tx: np.ndarray  # [2, Q] tx field on (TE, TM) of the first interaction
-    u_rx: np.ndarray  # [2, Q] rx field on (TE, TM) of the last interaction
-    j: np.ndarray  # [K - 1, 2, 2, Q] basis changes between interactions
 
 
 class PathKernel:
@@ -357,20 +345,29 @@ class PathKernel:
     fields projected onto the first and last TE/TM bases, the real 2x2
     basis changes J and the factor c. They are built once, in floats, from
     the helpers :func:`transfer` uses; an evaluation is one vectorised
-    :func:`fresnel` over all interactions plus a batched chain product per
-    interaction count. ``links`` holds (tx device, rx device, paths);
-    ``tx_elements`` / ``rx_elements`` list (pattern, slant) pairs at the
-    devices' stored orientations. Gains are [rx_el, tx_el, path], paths in
-    link order. With ``tx_elements=None`` the tx fields are the world axes:
-    gains [rx_el, 3, path] are then the frozen vector w with a = w . f_tx,
-    so a transmitter may turn without a new kernel.
+    :func:`fresnel` over all interactions plus one batched chain product.
+    Paths with interactions form one chain of the kernel's largest
+    interaction count K: a shorter path is padded at its end with J = I
+    and r_TE = r_TM = 1 of derivative 0, which multiply exactly, so its
+    gain keeps its bits. Interactions are stored [K, P], interaction k of
+    every path together. The chain's columns (pair q = rx_el * n_tx +
+    tx_el, path) are pair-major, so every step is one flat elementwise
+    numpy operation. LOS gains c * f_rx . f_tx are stored whole.
+
+    ``links`` holds (tx device, rx device, paths); ``tx_elements`` /
+    ``rx_elements`` list (pattern, slant) pairs at the devices' stored
+    orientations. Gains are [rx_el, tx_el, path], paths in link order. With
+    ``tx_elements=None`` the tx fields are the world axes: gains
+    [rx_el, 3, path] are then the frozen vector w with a = w . f_tx, so a
+    transmitter may turn without a new kernel.
     """
 
     def __init__(self, scene, bvh, links, tx_elements, rx_elements):
         ctx, lam, freq = EvalContext(scene), scene.wavelength, scene.frequency_hz
         mat_index = {}  # material name -> position in eta
         los = {"index": [], "gain": []}
-        chains = {}  # K -> per-path lists of the _Chain fields, cosines and materials
+        # per path with interactions: its chain constants, cosines and materials
+        rows = {k: [] for k in ("index", "c", "u_tx", "u_rx", "j", "cos", "mat")}
         self.k_dep = []  # per path, the direction tx fields are evaluated in
         for tx_dev, rx_dev, paths in links:
             rot_tx, rot_rx = ctx.rotation_rows(tx_dev), ctx.rotation_rows(rx_dev)
@@ -396,8 +393,6 @@ class PathKernel:
                     e_perp = _perp_axis(geom.seg_dirs[k], geom.normals[k])
                     axes.append((e_perp, t_cross(geom.seg_dirs[k], e_perp),
                                  t_cross(e_perp, geom.seg_dirs[k + 1])))
-                rows = chains.setdefault(len(mats), {k: [] for k in (
-                    "index", "c", "u_tx", "u_rx", "j", "cos", "mat")})
                 rows["index"].append(n)
                 rows["c"].append(c)
                 rows["u_tx"].append([(t_dot(f, axes[0][0]), t_dot(f, axes[0][1])) for f in f_tx])
@@ -412,51 +407,45 @@ class PathKernel:
         self.materials = sorted(mat_index, key=mat_index.get)
         self.num_paths = len(self.k_dep)
         self.shape = (n_rx, n_tx)
-        pairs = np.arange(n_rx * n_tx)[:, None] * self.num_paths  # flat offset per pair
-        self.los_index = np.array(los["index"], dtype=np.int64)
-        self.los_cols = (pairs + self.los_index).ravel()
+        n_pairs = n_rx * n_tx
+        pairs = np.arange(n_pairs)[:, None] * self.num_paths  # flat offset per pair
+        self.los_cols = (pairs + np.array(los["index"], dtype=np.int64)).ravel()
         self.los_gain = np.array(los["gain"], dtype=np.complex128).reshape(
-            -1, n_rx * n_tx).T.ravel()
-        self.chains = []
-        cosines, mat_ids = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
-        start = 0
-        for order, rows in sorted(chains.items()):
-            p = len(rows["index"])
-            index = np.array(rows["index"], dtype=np.int64)
-            # interactions stored [K, P]: interaction k of every path together
-            cosines.append(np.array(rows["cos"], dtype=np.float64).T.ravel())
-            mat_ids.append(np.array(rows["mat"], dtype=np.int64).T.ravel())
-            fields = [np.broadcast_to(np.reshape(rows[k], shape), (p, n_rx, n_tx, 2))
-                      .transpose(3, 1, 2, 0).reshape(2, -1)
-                      for k, shape in (("u_tx", (p, 1, n_tx, 2)), ("u_rx", (p, n_rx, 1, 2)))]
-            self.chains.append(_Chain(
-                index=index, slots=slice(start, start + order * p),
-                cols=(pairs + index).ravel(),
-                path=np.tile(np.arange(p), n_rx * n_tx) if n_rx * n_tx > 1 else None,
-                c=np.tile(np.array(rows["c"], dtype=np.complex128), n_rx * n_tx),
-                u_tx=fields[0], u_rx=fields[1],
-                j=np.tile(np.array(rows["j"], dtype=np.float64).reshape(
-                    p, order - 1, 2, 2).transpose(1, 2, 3, 0), n_rx * n_tx)))
-            start += order * p
-        self.cos = np.concatenate(cosines)
-        self.mat = np.concatenate(mat_ids)
+            -1, n_pairs).T.ravel()
+        p, order = len(rows["index"]), max(map(len, rows["mat"]), default=1)
+        # interactions stored [K, P], interaction k of every path together; a
+        # padded slot evaluates material 0 at normal incidence, then is reset
+        self.mat, self.cos = (
+            np.array(list(zip_longest(*rows[k], fillvalue=fill)), dtype=dtype).reshape(order, p)
+            for k, fill, dtype in (("mat", 0, np.int64), ("cos", 1.0, np.float64)))
+        self.pad = np.flatnonzero(np.arange(order)[:, None] >= [len(m) for m in rows["mat"]])
+        eye = ((1.0, 0.0), (0.0, 1.0))
+        j = np.array([js + [eye] * (order - 1 - len(js)) for js in rows["j"]], dtype=np.float64)
+        self.j = np.tile(j.reshape(p, order - 1, 2, 2).transpose(1, 2, 3, 0), n_pairs)
+        self.u_tx, self.u_rx = (
+            np.broadcast_to(np.reshape(rows[k], shape), (p, n_rx, n_tx, 2))
+            .transpose(3, 1, 2, 0).reshape(2, -1)
+            for k, shape in (("u_tx", (p, 1, n_tx, 2)), ("u_rx", (p, n_rx, 1, 2))))
+        self.c = np.tile(np.array(rows["c"], dtype=np.complex128), n_pairs)
+        self.cols = (pairs + np.array(rows["index"], dtype=np.int64)).ravel()
+        # column -> path; None for one element pair, whose columns are the paths
+        self.path = np.tile(np.arange(p), n_pairs) if n_pairs > 1 else None
 
     def etas(self, ctx: EvalContext) -> np.ndarray:
         """Complex eta per kernel material, from the (float) values in ``ctx``."""
         return np.array([ctx.eta(m).to_complex() for m in self.materials],
                         dtype=np.complex128)
 
-    @staticmethod
-    def _chain_reflections(ch, r_te, r_tm):
-        """(TE, TM) coefficients [K, Q] of a chain's columns."""
-        te, tm = (r[ch.slots].reshape(-1, len(ch.index)) for r in (r_te, r_tm))
-        return (te, tm) if ch.path is None else (te[:, ch.path], tm[:, ch.path])
+    def _columns(self, r, fill):
+        """Per-interaction values r [K, P], ``fill`` written at padding, as columns [K, Q]."""
+        if self.pad.size:  # an empty reset costs about 1% of a depth-1 calibrate job
+            r.flat[self.pad] = fill
+        return r if self.path is None else r[:, self.path]
 
-    @staticmethod
-    def _chain_inputs(ch, te, tm):
-        """The (TE, TM) field entering each D_k of a chain, [Q] each."""
-        ins = [(ch.u_tx[0], ch.u_tx[1])]
-        for k, j in enumerate(ch.j, 1):
+    def _inputs(self, te, tm):
+        """The (TE, TM) field entering each D_k, [Q] each."""
+        ins = [(self.u_tx[0], self.u_tx[1])]
+        for k, j in enumerate(self.j, 1):
             v_te, v_tm = ins[-1][0] * te[k - 1], ins[-1][1] * tm[k - 1]
             ins.append((j[0, 0] * v_te + j[0, 1] * v_tm,
                         j[1, 0] * v_te + j[1, 1] * v_tm))
@@ -465,12 +454,11 @@ class PathKernel:
     def gains(self, eta) -> np.ndarray:
         """Complex gains [rx_el, tx_el, path] at material etas ``eta``."""
         r_te, r_tm, _ = _fresnel_arrays(eta[self.mat], self.cos)
+        te, tm = self._columns(r_te, 1.0), self._columns(r_tm, 1.0)
+        v_te, v_tm = self._inputs(te, tm)[-1]
         a = np.empty(self.shape[0] * self.shape[1] * self.num_paths, dtype=np.complex128)
         a[self.los_cols] = self.los_gain
-        for ch in self.chains:
-            te, tm = self._chain_reflections(ch, r_te, r_tm)
-            v_te, v_tm = self._chain_inputs(ch, te, tm)[-1]
-            a[ch.cols] = ch.c * (ch.u_rx[0] * (v_te * te[-1]) + ch.u_rx[1] * (v_tm * tm[-1]))
+        a[self.cols] = self.c * (self.u_rx[0] * (v_te * te[-1]) + self.u_rx[1] * (v_tm * tm[-1]))
         return a.reshape(self.shape + (self.num_paths,))
 
     def vjp(self, eta, grad_a) -> np.ndarray:
@@ -487,27 +475,23 @@ class PathKernel:
         d_te = -c / (w * (c + w) ** 2)
         # w * w, not eta - sin^2: differentiate the root as computed
         d_tm = c * (eta_i - 2.0 * w * w) / (w * (w + eta_i * c) ** 2)
-        pull = np.zeros(len(self.cos), dtype=np.complex128)
-        for ch in self.chains:
-            te, tm = self._chain_reflections(ch, r_te, r_tm)
-            dte, dtm = self._chain_reflections(ch, d_te, d_tm)
-            ins = self._chain_inputs(ch, te, tm)
-            l_te, l_tm = ch.c * ch.u_rx[0], ch.c * ch.u_rx[1]  # d a / d (D_K output)
-            da = np.empty(te.shape, dtype=np.complex128)
-            for k in range(len(ins) - 1, -1, -1):
-                da[k] = l_te * ins[k][0] * dte[k] + l_tm * ins[k][1] * dtm[k]
-                l_te, l_tm = l_te * te[k], l_tm * tm[k]
-                if k:
-                    j = ch.j[k - 1]
-                    l_te, l_tm = (j[0, 0] * l_te + j[1, 0] * l_tm,
-                                  j[0, 1] * l_te + j[1, 1] * l_tm)
-            da = grad_a[ch.cols] * np.conj(da)
-            if ch.path is not None:  # sum over the element pairs of each path
-                da = da.reshape(len(da), -1, len(ch.index)).sum(axis=1)
-            pull[ch.slots] = da.ravel()
-        m = len(self.materials)
-        return (np.bincount(self.mat, pull.real, m)
-                + 1j * np.bincount(self.mat, pull.imag, m))
+        te, tm = self._columns(r_te, 1.0), self._columns(r_tm, 1.0)
+        dte, dtm = self._columns(d_te, 0.0), self._columns(d_tm, 0.0)
+        ins = self._inputs(te, tm)
+        l_te, l_tm = self.c * self.u_rx[0], self.c * self.u_rx[1]  # d a / d (D_K output)
+        da = np.empty(te.shape, dtype=np.complex128)
+        for k in range(len(ins) - 1, -1, -1):
+            da[k] = l_te * ins[k][0] * dte[k] + l_tm * ins[k][1] * dtm[k]
+            l_te, l_tm = l_te * te[k], l_tm * tm[k]
+            if k:
+                j = self.j[k - 1]
+                l_te, l_tm = (j[0, 0] * l_te + j[1, 0] * l_tm,
+                              j[0, 1] * l_te + j[1, 1] * l_tm)
+        da = grad_a[self.cols] * np.conj(da)
+        if self.path is not None:  # sum over the element pairs of each path
+            da = da.reshape(len(da), self.shape[0] * self.shape[1], -1).sum(axis=1)
+        pull, mat, m = da.ravel(), self.mat.ravel(), len(self.materials)
+        return np.bincount(mat, pull.real, m) + 1j * np.bincount(mat, pull.imag, m)
 
 
 # -- channel gains for full arrays -------------------------------------------

@@ -9,11 +9,13 @@ trace their probes once, before the first iteration.
 
 Both evaluate their frozen paths through one :class:`em.PathKernel`,
 built before the first iteration. Material learning evaluates its loss in
-numpy: each evaluation is one pass over all record paths, and under a tape
-the loss is one fused node over the (eps_r, sigma) leaves, whose partials
-come from the kernel's closed-form vector-Jacobian product. Orientation
-keeps the kernel's vectors w fixed and records only the transmitter's
-element fields under the rotation leaves and their products w . f.
+numpy: each evaluation is one pass over all record paths, whatever their
+interaction counts, and under a tape the loss is one fused node over the
+(eps_r, sigma) leaves, whose partials come from the kernel's closed-form
+vector-Jacobian product. :func:`nmse_loss` is the same error on plain
+complex vectors and never records on a tape. Orientation keeps the
+kernel's vectors w fixed and records only the transmitter's element
+fields under the rotation leaves and their products w . f.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DiffComplex, DiffScalar, Tape
+from .autodiff import DiffScalar, Tape
 from .autodiff import log as ad_log
 from .bvh import build
 from .channel import GridSpec, ProbeKernel, probe_paths, subcarrier_frequencies
@@ -136,44 +138,16 @@ class TrainLog:
 # -- losses -------------------------------------------------------------------
 
 def nmse_loss(h_pred, h_true):
-    """Normalized mean squared error ||pred - true||^2 / ||true||^2.
-
-    ``h_pred`` may be a complex numpy vector or a list of DiffComplex
-    entries; the latter yields a tape-tracked scalar.
-    """
+    """Normalized mean squared error ||pred - true||^2 / ||true||^2 of complex vectors."""
     h_true = np.asarray(h_true, dtype=np.complex128)
     norm2 = float(np.vdot(h_true, h_true).real)
     if norm2 <= 0.0:
         raise OptimError("NMSE target has zero norm")
-    if isinstance(h_pred, (list, tuple)) and h_pred and isinstance(h_pred[0], DiffComplex):
-        if len(h_pred) != len(h_true):
-            raise OptimError("prediction/target length mismatch")
-        tape = _find_tape(h_pred)
-        pred = np.array([z.to_complex() for z in h_pred])
-        err = pred - h_true
-        val = float(np.vdot(err, err).real)
-        if tape is None:
-            return val / norm2
-        inputs, partials = [], []
-        for i, z in enumerate(h_pred):
-            inputs.append(z.re)
-            partials.append(2.0 * err[i].real)
-            inputs.append(z.im)
-            partials.append(2.0 * err[i].imag)
-        return tape.record_custom(val, inputs, partials) / norm2
     h_pred = np.asarray(h_pred, dtype=np.complex128)
     if h_pred.shape != h_true.shape:
         raise OptimError("prediction/target shape mismatch")
     err = h_pred - h_true
     return float(np.vdot(err, err).real) / norm2
-
-
-def _find_tape(values):
-    for z in values:
-        for comp in (z.re, z.im):
-            if isinstance(comp, DiffScalar) and comp.tape is not None:
-                return comp.tape
-    return None
 
 
 class _FrozenNmse:

@@ -36,30 +36,6 @@ class TestNmse:
         with pytest.raises(OptimError):
             nmse_loss(np.ones(3, complex), np.zeros(3, complex))
 
-    def test_tracked_prediction_gradient_vs_fd(self):
-        rng = np.random.RandomState(0)
-        target = rng.randn(4) + 1j * rng.randn(4)
-        x0 = rng.randn(4)
-        y0 = rng.randn(4)
-
-        def loss(xs, ys, tape=None):
-            if tape is not None:
-                pred = [DiffComplex(tape.leaf(x, f"x{i}"), tape.leaf(y, f"y{i}"))
-                        for i, (x, y) in enumerate(zip(xs, ys))]
-                return nmse_loss(pred, target)
-            return nmse_loss(xs + 1j * ys, target)
-
-        tape = Tape()
-        g = tape.gradient(loss(x0, y0, tape))
-        h = 1e-6
-        for i in range(4):
-            dx = np.zeros(4)
-            dx[i] = h
-            fd = (loss(x0 + dx, y0) - loss(x0 - dx, y0)) / (2 * h)
-            assert g[f"x{i}"] == pytest.approx(fd, rel=1e-6)
-            fd = (loss(x0, y0 + dx) - loss(x0, y0 - dx)) / (2 * h)
-            assert g[f"y{i}"] == pytest.approx(fd, rel=1e-6)
-
 
 def test_projected_sq_error_gradient_vs_fd():
     rng = np.random.RandomState(1)

@@ -15,8 +15,8 @@ from conftest import brute_force_first_hit, make_scene, projected_sq_error, quad
 from emtrace import bvh as accel
 from emtrace.autodiff import DiffComplex, Tape
 from emtrace.channel import point_path_gain, probe_receiver, subcarrier_frequencies
-from emtrace.em import (EvalContext, PathKernel, element_field, geometry_from_path,
-                        path_materials, synthetic_phase, transfer)
+from emtrace.em import (EvalContext, PathKernel, _fresnel_arrays, element_field, fresnel,
+                        geometry_from_path, path_materials, synthetic_phase, transfer)
 from emtrace.geometry import mat_vec
 from emtrace.optim import _FrozenNmse
 from emtrace.scene import (AntennaArray, RadioDevice, RadioMaterial, bundled_scene,
@@ -305,3 +305,69 @@ def test_point_path_gain_orientation_gradient_matches_transfer(tx, rx, tx_ypr, a
         scale = max(max(abs(g) for g in ref_grad.values()), 1e-3 * ref.value)
         for k in keys:
             assert abs(got_grad[k] - ref_grad[k]) <= 1e-9 * scale
+
+
+def test_padded_chain_matches_one_path_kernels():
+    # orders 0-3 in one kernel: paths shorter than 3 interactions are padded
+    tx_dev = RadioDevice("tx", "tx", np.array([2.3, 1.7, 1.9]), orientation=(0.4, -0.3, 0.2))
+    rx_dev = RadioDevice("rx", "rx", np.array([7.6, 5.9, 1.2]), orientation=(2.1, 0.3, -0.5))
+    scene = _two_material_box(tx_dev, rx_dev, {"floor_mat": (4.5, 0.03), "wall_mat": (6.0, 0.4)})
+    paths = compute_paths_between(scene, TREE, tx_dev, rx_dev, 3)
+    assert {p.order for p in paths} == {0, 1, 2, 3}
+    ctx = EvalContext(scene)
+    rx_els = [("dipole", 0.3), ("tr38901", 1.1)]
+    for tx_els in ([("tr38901", -0.4), ("dipole", 0.7)], None):
+        with np.errstate(all="raise"):
+            kernel = PathKernel(scene, TREE, [(tx_dev, rx_dev, paths)], tx_els, rx_els)
+            eta = kernel.etas(ctx)
+            gains = kernel.gains(eta)
+            rng = np.random.RandomState(3)
+            grad_a = rng.randn(*gains.shape) + 1j * rng.randn(*gains.shape)
+            pulled = kernel.vjp(eta, grad_a)
+            want = dict.fromkeys(kernel.materials, 0j)
+            for q, p in enumerate(paths):
+                one = PathKernel(scene, TREE, [(tx_dev, rx_dev, [p])], tx_els, rx_els)
+                one_eta = one.etas(ctx)
+                assert one.gains(one_eta)[:, :, 0].tobytes() == gains[:, :, q].tobytes()
+                for m, g in zip(one.materials, one.vjp(one_eta, grad_a[:, :, q:q + 1])):
+                    want[m] += g
+        want = np.array([want[m] for m in kernel.materials])
+        assert np.abs(pulled - want).max() <= 1e-12 * np.abs(want).max()
+
+
+device_element = st.tuples(inside_box, angles, element)
+
+
+# the explain phase is left out as above
+@settings(derandomize=True, deadline=None, database=None, max_examples=20,
+          phases=(Phase.explicit, Phase.generate, Phase.shrink))
+@given(a=device_element, b=device_element, floor=material, walls=material)
+def test_swapping_tx_and_rx_reverses_paths_and_keeps_coefficients(a, b, floor, walls):
+    assume(np.linalg.norm(np.subtract(a[0], b[0])) > 0.1)
+    coefficients = []
+    for (tx, tx_ypr, tx_el), (rx, rx_ypr, rx_el) in ((a, b), (b, a)):
+        tx_dev = RadioDevice("tx", "tx", np.array(tx), orientation=tx_ypr)
+        rx_dev = RadioDevice("rx", "rx", np.array(rx), orientation=rx_ypr)
+        scene = _two_material_box(tx_dev, rx_dev, {"floor_mat": floor, "wall_mat": walls})
+        paths = compute_paths_between(scene, TREE, tx_dev, rx_dev, 2)
+        kernel = PathKernel(scene, TREE, [(tx_dev, rx_dev, paths)], [tx_el], [rx_el])
+        coefficients.append(dict(zip((p.seq for p in paths),
+                                     kernel.gains(kernel.etas(EvalContext(scene)))[0, 0])))
+    forward, backward = coefficients
+    assert sorted(forward) == sorted(seq[::-1] for seq in backward)
+    scale = max(abs(g) for g in forward.values())
+    for seq, g in forward.items():
+        assert abs(backward[seq[::-1]] - g) <= 1e-10 * scale
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(rows=st.lists(st.tuples(st.floats(1.0, 1e3), st.floats(0.0, 1e4),
+                               st.floats(0.0, 1.0, exclude_min=True)), min_size=1, max_size=20))
+def test_reflection_coefficients_are_passive(rows):
+    eps_r, sigma, cos = (np.array(c) for c in zip(*rows))
+    eta = eps_r + 1j * sigma * eta_per_sigma(BOX.frequency_hz)
+    bound = 1.0 + 1e-12
+    r_te, r_tm, _ = _fresnel_arrays(eta, cos)
+    assert np.all(np.abs(r_te) <= bound) and np.all(np.abs(r_tm) <= bound)
+    for e, c in zip(eta.tolist(), cos.tolist()):
+        assert all(abs(r.to_complex()) <= bound for r in fresnel(e, c))
