@@ -1,7 +1,7 @@
 """Scalar reverse-mode automatic differentiation.
 
 A :class:`Tape` records elementary scalar operations (add, mul, div, sqrt,
-sin, cos, exp, log, atan2, min/max and custom fused reductions) performed on
+sin, cos, exp, log, atan2, min and custom fused reductions) performed on
 :class:`DiffScalar` values. A single backward sweep then yields exact
 derivatives of one output with respect to every registered leaf.
 
@@ -109,7 +109,7 @@ class DiffScalar:
     def __abs__(self):
         return _unary(self, abs(self.value), 1.0 if self.value >= 0.0 else -1.0)
 
-    # value-based comparisons: branching (line search, min/max) happens on
+    # value-based comparisons: branching (line search, minimum) happens on
     # the primal value, never on the derivative
     def __lt__(self, other):
         return self.value < _val(other)
@@ -193,16 +193,6 @@ def minimum(a, b):
     """min with subgradient: ties resolve to the first argument."""
     av, bv = _val(a), _val(b)
     take_a = av <= bv
-    if isinstance(a, DiffScalar) or isinstance(b, DiffScalar):
-        ad = a if isinstance(a, DiffScalar) else DiffScalar(float(a))
-        bd = b if isinstance(b, DiffScalar) else DiffScalar(float(b))
-        return _binary(ad, bd, av if take_a else bv, 1.0 if take_a else 0.0, 0.0 if take_a else 1.0)
-    return av if take_a else bv
-
-
-def maximum(a, b):
-    av, bv = _val(a), _val(b)
-    take_a = av >= bv
     if isinstance(a, DiffScalar) or isinstance(b, DiffScalar):
         ad = a if isinstance(a, DiffScalar) else DiffScalar(float(a))
         bd = b if isinstance(b, DiffScalar) else DiffScalar(float(b))
@@ -329,9 +319,15 @@ class DiffComplex:
         if isinstance(other, (int, float, DiffScalar)):
             return DiffComplex(self.re / other, self.im / other)
         o = _ccoerce(other)
-        d = o.re * o.re + o.im * o.im
-        return DiffComplex((self.re * o.re + self.im * o.im) / d,
-                           (self.im * o.re - self.re * o.im) / d)
+        # Smith's division: scale by the larger component of o instead of
+        # forming |o|^2, which under- or overflows far sooner than o itself
+        if abs(_val(o.re)) >= abs(_val(o.im)):
+            r = o.im / o.re
+            d = o.re + o.im * r
+            return DiffComplex((self.re + self.im * r) / d, (self.im - self.re * r) / d)
+        r = o.re / o.im
+        d = o.re * r + o.im
+        return DiffComplex((self.re * r + self.im) / d, (self.im * r - self.re) / d)
 
     def __rtruediv__(self, other):
         return _ccoerce(other).__truediv__(self)

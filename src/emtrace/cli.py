@@ -188,8 +188,7 @@ def _cmd_calibrate(args) -> int:
 
     scene = load_scene(args.scene)
     dataset = Dataset.load(args.dataset)
-    config = OptimConfig(lr=args.lr, lr_sigma=args.lr / 10.0,
-                         iterations=args.iterations, max_depth=args.max_depth,
+    config = OptimConfig(lr=args.lr, iterations=args.iterations, max_depth=args.max_depth,
                          method=args.method, num_rays=args.num_rays)
     log = learn_materials(scene, dataset, config)
     log.save(args.log)

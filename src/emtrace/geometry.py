@@ -22,17 +22,6 @@ VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 _GOLDEN_SQ = (3.0 + math.sqrt(5.0)) / 2.0
 
 
-def norm(v: np.ndarray) -> float:
-    return float(math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    n = norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize zero vector")
-    return v / n
-
-
 def rotation_from_ypr(yaw: float, pitch: float, roll: float) -> np.ndarray:
     """Rotation matrix for intrinsic Z-Y'-X'' angles (yaw, pitch, roll).
 

@@ -1,21 +1,22 @@
 """Gradient-based calibration and orientation optimization.
 
-Two experiment drivers sit on top of the differentiable coefficient
-pipeline: learning radio material parameters from channel frequency
-responses (NMSE loss, projected gradient descent) and steering a
-transmitter to maximize mean received power over a map region (gradient
-ascent). Neither materials nor orientation move path geometry, so both
-trace their probes once, before the first iteration.
+Two experiments sit on top of the differentiable coefficient pipeline:
+learning radio material parameters from channel frequency responses (NMSE
+loss, projected gradient descent) and steering a transmitter to maximize
+mean received power over a map region (gradient ascent). Both run the same
+loop, :func:`_optimize`: line-searched gradient steps over named leaves,
+each clipped at its lower bound. Neither materials nor orientation move
+path geometry, so both trace their probes once and build one
+:class:`em.PathKernel`, before the first iteration.
 
-Both evaluate their frozen paths through one :class:`em.PathKernel`,
-built before the first iteration. Material learning evaluates its loss in
-numpy: each evaluation is one pass over all record paths, whatever their
-interaction counts, and under a tape the loss is one fused node over the
-(eps_r, sigma) leaves, whose partials come from the kernel's closed-form
-vector-Jacobian product. :func:`nmse_loss` is the same error on plain
-complex vectors and never records on a tape. Orientation keeps the
-kernel's vectors w fixed and records only the transmitter's element
-fields under the rotation leaves and their products w . f.
+Material learning evaluates its loss in numpy, one pass over all record
+paths whatever their interaction counts, and takes the gradient on the
+(eps_r, sigma) leaves directly from the kernel's closed-form
+vector-Jacobian product; it records no tape. :func:`nmse_loss` is the same
+error on plain complex vectors. Orientation is the one experiment that
+records a tape: it keeps the kernel's vectors w fixed and records only the
+transmitter's element fields under the rotation leaves and their
+products w . f.
 """
 
 from __future__ import annotations
@@ -41,16 +42,21 @@ class OptimError(ValueError):
 
 @dataclass
 class OptimConfig:
-    lr: float = 0.05  # eps_r-scale leaves
-    lr_sigma: float = 0.005
+    lr: float = 0.05  # eps_r leaves; sigma leaves step lr / 10
     lr_angle: float = 0.2  # radians-scale leaves
     iterations: int = 500
-    line_search: bool = True
     rel_tol: float = 1e-6
-    tol_window: int = 10
     max_depth: int = 2
     method: str = "exhaustive"
     num_rays: int = 4096
+
+    def __post_init__(self):
+        if not self.iterations >= 1:
+            raise OptimError(f"iterations must be at least 1, got {self.iterations}")
+        for name in ("lr", "lr_angle", "rel_tol"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise OptimError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass
@@ -186,71 +192,61 @@ class _FrozenNmse:
         return loss, self.kernel.vjp(eta, grad_a[self.rows, self.cols])
 
 
-# -- trainable parameter bookkeeping -------------------------------------------
+# -- the shared optimiser loop --------------------------------------------------
 
 _EPS_KEY = "mat:{}:eps_r"
 _SIG_KEY = "mat:{}:sigma"
 _ANGLE_KEYS = ("yaw", "pitch", "roll")
+_TOL_WINDOW = 10  # rows the relative stop looks back over
 
 
-def _lr_for(leaf: str, config: OptimConfig) -> float:
-    if leaf.endswith(":sigma"):
-        return config.lr_sigma
-    if leaf.split(":")[-1] in _ANGLE_KEYS:
-        return config.lr_angle
-    return config.lr
-
-
-def _project_materials(values: dict):
-    for k in values:
-        if k.endswith(":eps_r") and values[k] < 1.0:
-            values[k] = 1.0
-        elif k.endswith(":sigma") and values[k] < 0.0:
-            values[k] = 0.0
-
-
-def _descend(values, loss0, grads, loss_fn, config, sign: float,
-             scale: float = 1.0):
-    """One (optionally line-searched) step; sign=-1 descends, +1 ascends.
-
-    Returns (new values, next scale). With line search the trial step is
-    halved until the Armijo condition holds — so descent never increases
-    the loss (and ascent never decreases the objective) — and a cleanly
-    accepted step doubles the scale for the next iteration, adapting the
-    effective step size to the local curvature.
-    """
-    direction = {k: _lr_for(k, config) * grads.get(k, 0.0) for k in values}
-    slope = sum(direction[k] * grads.get(k, 0.0) for k in values)
-    if slope == 0.0:
-        return dict(values), scale
-
-    def stepped(s):
-        new = {k: values[k] + sign * s * direction[k] for k in values}
-        _project_materials(new)
-        return new
-
-    if not config.line_search:
-        return stepped(1.0), scale
-    first = True
-    while scale > 1e-10:
-        cand = stepped(scale)
-        f = loss_fn(cand)
-        f = f.value if isinstance(f, DiffScalar) else float(f)
-        if sign * (f - loss0) >= 1e-4 * scale * slope:
-            return cand, min(scale * 2.0, 1e9) if first else scale
-        scale *= 0.5
-        first = False
-    return dict(values), 1.0  # no productive step found; stay put
-
-
-def _converged(losses, config: OptimConfig) -> bool:
-    w = config.tol_window
+def _converged(losses, rel_tol: float) -> bool:
+    w = _TOL_WINDOW
     if len(losses) <= w:
         return False
     ref = abs(losses[-w - 1])
     if ref == 0.0:
         return abs(losses[-1]) == 0.0
-    return abs(losses[-1] - losses[-w - 1]) / ref < config.rel_tol
+    return abs(losses[-1] - losses[-w - 1]) / ref < rel_tol
+
+
+def _optimize(values, evaluate, step, lower, config: OptimConfig, sign: float) -> TrainLog:
+    """Projected gradient steps on the leaves ``values``; sign=-1 descends, +1 ascends.
+
+    ``evaluate(values, with_grad)`` returns (value to log, value f to step
+    on, df/d leaf per leaf, where a missing leaf has zero gradient). Leaf k
+    moves by sign * s * step[k] * df/dk and is clipped below at lower[k].
+    The trial scale s is halved until the Armijo condition holds, so
+    descent never increases f and ascent never decreases it; a step taken
+    at its first trial doubles s for the next iteration. The loop stops at
+    ``config.iterations`` rows, or once the logged value has moved by less
+    than ``config.rel_tol`` (relative) over the last ``_TOL_WINDOW`` rows.
+    """
+    log = TrainLog(values)
+    scale = 1.0
+    for it in range(config.iterations):
+        shown, f0, grads = evaluate(values, True)
+        if not math.isfinite(f0):
+            raise OptimError(f"loss diverged (non-finite) at iteration {it}: "
+                             f"values {values}")
+        log.append(it, shown, values)
+        direction = {k: step[k] * grads.get(k, 0.0) for k in values}
+        slope = sum(direction[k] * grads.get(k, 0.0) for k in values)
+        trial = scale
+        while slope != 0.0:
+            if trial <= 1e-10:  # no productive step found; stay put
+                scale = 1.0
+                break
+            cand = {k: max(values[k] + sign * trial * direction[k], lower[k])
+                    for k in values}
+            if sign * (evaluate(cand, False)[1] - f0) >= 1e-4 * trial * slope:
+                values, scale = cand, (min(trial * 2.0, 1e9) if trial == scale else trial)
+                break
+            trial *= 0.5
+        if _converged(log.losses, config.rel_tol):
+            break
+    log.final_values = dict(values)
+    return log
 
 
 # -- dataset generation ---------------------------------------------------------
@@ -323,13 +319,6 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
     tx_dev = scene.transmitters[0]
     f = subcarrier_frequencies(dataset.num_subcarriers, dataset.subcarrier_spacing_hz)
 
-    values = {}
-    for n in names:
-        m = scene.materials[n]
-        values[_EPS_KEY.format(n)] = float(m.eps_r)
-        values[_SIG_KEY.format(n)] = float(m.sigma)
-    leaf_names = sorted(values)
-
     traced = probe_paths(scene, bvh, tx_dev, [r.position for r in dataset.records],
                          config.max_depth, config.method, config.num_rays)
     links = [(tx_dev, probe, paths) for probe, paths in traced]
@@ -338,38 +327,23 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
                        [rec.h for rec in dataset.records])
     d_eta_d_sigma = eta_per_sigma(scene.frequency_hz)
 
-    def loss_fn(vals, tape=None):
+    def evaluate(vals, with_grad):
         ctx = EvalContext(scene, material_values={
             n: (vals[_EPS_KEY.format(n)], vals[_SIG_KEY.format(n)]) for n in names})
-        loss, grad_eta = nmse(nmse.kernel.etas(ctx), with_grad=tape is not None)
-        if tape is None:
-            return loss
-        grad_eta = dict(zip(nmse.kernel.materials, grad_eta))
-        leaves, partials = [], []
-        for n in names:
-            g = grad_eta.get(n, 0j)  # a zero partial where no path touches n
-            leaves += [tape.leaf(vals[_EPS_KEY.format(n)], _EPS_KEY.format(n)),
-                       tape.leaf(vals[_SIG_KEY.format(n)], _SIG_KEY.format(n))]
-            partials += [g.real, g.imag * d_eta_d_sigma]
-        return tape.record_custom(loss, leaves, partials)
+        loss, grad_eta = nmse(nmse.kernel.etas(ctx), with_grad)
+        grads = {}  # a leaf whose material no path touches has zero gradient
+        for n, g in zip(nmse.kernel.materials, grad_eta if with_grad else ()):
+            grads[_EPS_KEY.format(n)] = float(g.real)
+            grads[_SIG_KEY.format(n)] = float(g.imag) * d_eta_d_sigma
+        return loss, loss, grads
 
-    log = TrainLog(leaf_names)
-    scale = 1.0
-    for it in range(config.iterations):
-        tape = Tape()
-        loss = loss_fn(values, tape)
-        loss_val = loss.value if isinstance(loss, DiffScalar) else float(loss)
-        if not math.isfinite(loss_val):
-            raise OptimError(f"loss diverged (non-finite) at iteration {it}: "
-                             f"values {values}")
-        grads = tape.gradient(loss) if isinstance(loss, DiffScalar) else {}
-        log.append(it, loss_val, values)
-        values, scale = _descend(values, loss_val, grads, loss_fn, config,
-                                 sign=-1.0, scale=scale)
-        if _converged(log.losses, config):
-            break
-    log.final_values = dict(values)
-    return log
+    leaves = {}  # key -> (initial value, step size, lower bound)
+    for n in names:
+        m = scene.materials[n]
+        leaves[_EPS_KEY.format(n)] = (float(m.eps_r), config.lr, 1.0)
+        leaves[_SIG_KEY.format(n)] = (float(m.sigma), config.lr / 10.0, 0.0)
+    values, step, lower = ({k: leaves[k][i] for k in sorted(leaves)} for i in range(3))
+    return _optimize(values, evaluate, step, lower, config, sign=-1.0)
 
 
 # -- experiment B: transmitter orientation -------------------------------------
@@ -396,41 +370,26 @@ def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = N
     links = [(tx_dev, probe, paths) for probe, paths in probe_paths(
         scene, bvh, tx_dev, cells, config.max_depth, config.method,
         config.num_rays)]  # orientation never moves path geometry
-    log = TrainLog(keys)
     if all(len(paths) == 0 for _, _, paths in links):
         warnings.warn("no propagation path reaches the target region; "
                       "orientation left unchanged")
+        log = TrainLog(keys)
         log.append(0, 0.0, values)
         log.final_values = dict(values)
         return log
     probes = ProbeKernel(scene, bvh, tx_dev, links)
 
-    def objective_fn(vals, tape=None):
-        if tape is not None:
-            leaves = [tape.leaf(vals[k], k) for k in keys]
-        else:
-            leaves = [vals[k] for k in keys]
-        ctx = EvalContext(scene, orientations={tx_dev.name: tuple(leaves)})
-        return probes.total(ctx) / len(links)
+    def evaluate(vals, with_grad):
+        tape = Tape() if with_grad else None
+        leaves = tuple(tape.leaf(vals[k], k) if with_grad else vals[k] for k in keys)
+        obj = probes.total(EvalContext(scene, orientations={tx_dev.name: leaves})) / len(links)
+        # Path gains are tiny in linear units; ascending log(objective) makes
+        # the step size scale-free while keeping the optimum and monotonicity.
+        # An objective <= 0 has no log: -inf fails the driver's finiteness
+        # check and every line-search trial.
+        log_obj = ad_log(obj) if obj > 0.0 else -math.inf
+        grads = tape.gradient(log_obj) if with_grad and isinstance(log_obj, DiffScalar) else {}
+        return float(obj), float(log_obj), grads
 
-    # Path gains are tiny in linear units; ascending log(objective) makes
-    # the step size scale-free while keeping the optimum and monotonicity.
-    def log_objective_fn(vals, tape=None):
-        return ad_log(objective_fn(vals, tape))
-
-    scale = 1.0
-    for it in range(config.iterations):
-        tape = Tape()
-        obj = objective_fn(values, tape)
-        obj_val = obj.value if isinstance(obj, DiffScalar) else float(obj)
-        if not math.isfinite(obj_val) or obj_val <= 0.0:
-            raise OptimError(f"objective degenerated at iteration {it}")
-        log_obj = ad_log(obj)
-        grads = tape.gradient(log_obj) if isinstance(log_obj, DiffScalar) else {}
-        log.append(it, obj_val, values)
-        values, scale = _descend(values, math.log(obj_val), grads,
-                                 log_objective_fn, config, sign=+1.0, scale=scale)
-        if _converged(log.losses, config):
-            break
-    log.final_values = dict(values)
-    return log
+    return _optimize(values, evaluate, dict.fromkeys(keys, config.lr_angle),
+                     dict.fromkeys(keys, -math.inf), config, sign=+1.0)

@@ -215,6 +215,19 @@ class TestCalibrate:
         assert rc == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--iterations", "0", "iterations"), ("--iterations", "-2", "iterations"),
+        ("--lr", "nan", "lr"), ("--lr", "inf", "lr"), ("--lr", "-1", "lr"),
+    ])
+    def test_bad_optimiser_flag_exit_1(self, tmp_path, capsys, dataset, flag, value, field):
+        ds_path = tmp_path / "d.json"
+        ds_path.write_text(json.dumps(dataset))
+        rc = run(["calibrate", "--scene", bundled_scene("calib_init"),
+                  "--dataset", str(ds_path), "--max-depth", "1", flag, value,
+                  "--log", str(tmp_path / "l.csv")])
+        assert rc == 1
+        assert f"{field} must" in capsys.readouterr().err
+
     def test_truncated_dataset_exit_1(self, tmp_path, capsys):
         ds_path = tmp_path / "cut.json"
         ds_path.write_text('{"frequency_hz": 3')
@@ -237,6 +250,17 @@ class TestOrient:
         assert len(rows) >= 3
         ypr = json.load(open(out))
         assert set(ypr) == {"dev:tx:pitch", "dev:tx:roll", "dev:tx:yaw"}
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--iterations", "0", "iterations"), ("--lr", "nan", "lr_angle"),
+        ("--lr", "-0.5", "lr_angle"),
+    ])
+    def test_bad_optimiser_flag_exit_1(self, tmp_path, capsys, flag, value, field):
+        rc = run(["orient", "--scene", bundled_scene("orient"), "--max-depth", "1",
+                  "--grid", "1x1", "--cell", "5", flag, value,
+                  "--log", str(tmp_path / "orient.csv")])
+        assert rc == 1
+        assert f"{field} must" in capsys.readouterr().err
 
 
 class TestHelpDocumentation:

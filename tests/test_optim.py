@@ -137,6 +137,8 @@ class TestLearnMaterials:
         assert log.losses[0] < 1e-25
         assert log.final_values["mat:ground:eps_r"] == 3.0
         assert log.final_values["mat:ground:sigma"] == 0.1
+        # a flat loss stops once the window of 10 rows behind it is full
+        assert len(log.rows) == 11
 
     def test_untouched_material_bit_unchanged(self):
         truth, init_scene, ds = small_calibration_problem()
@@ -157,25 +159,28 @@ class TestLearnMaterials:
     def test_line_search_loss_non_increasing(self):
         _, init_scene, ds = small_calibration_problem()
         log = learn_materials(init_scene, ds,
-                              OptimConfig(iterations=40, max_depth=1, line_search=True))
+                              OptimConfig(iterations=40, max_depth=1))
         for a, b in zip(log.losses, log.losses[1:]):
             assert b <= a + 1e-18
 
     def test_zero_lr_is_stationary(self):
         _, init_scene, ds = small_calibration_problem()
         log = learn_materials(init_scene, ds,
-                              OptimConfig(iterations=5, lr=0.0, lr_sigma=0.0,
-                                          max_depth=1, line_search=False))
+                              OptimConfig(iterations=5, lr=0.0, max_depth=1))
         assert log.final_values["mat:ground:eps_r"] == 3.0
         assert all(l == log.losses[0] for l in log.losses)
 
     def test_projection_keeps_bounds(self):
-        _, init_scene, ds = small_calibration_problem(init=(1.05, 0.001))
+        # the truth sits on both bounds, so overshooting steps are clipped onto them
+        _, init_scene, ds = small_calibration_problem(truth_eps=1.0, truth_sigma=0.0,
+                                                      init=(1.3, 0.05))
         log = learn_materials(init_scene, ds,
                               OptimConfig(iterations=60, max_depth=1))
         for _, _, vals in log.rows:
             assert vals["mat:ground:eps_r"] >= 1.0
             assert vals["mat:ground:sigma"] >= 0.0
+        assert any(vals["mat:ground:eps_r"] == 1.0 for _, _, vals in log.rows)
+        assert any(vals["mat:ground:sigma"] == 0.0 for _, _, vals in log.rows)
 
     def test_requires_trainable_material(self):
         truth, _, ds = small_calibration_problem()
@@ -214,7 +219,7 @@ class TestLearnMaterials:
             counts.append(sum(solves))
         assert counts[0] == counts[1] > 0
 
-    def test_one_fused_tape_node_per_loss(self, monkeypatch):
+    def test_records_no_tape(self, monkeypatch):
         from emtrace import optim
         truth = load_scene(bundled_scene("calib_truth"))
         init = load_scene(bundled_scene("calib_init"))
@@ -230,9 +235,9 @@ class TestLearnMaterials:
         monkeypatch.setattr(optim, "Tape", CountingTape)
         log = learn_materials(init, ds, OptimConfig(iterations=20, max_depth=1,
                                                     rel_tol=0.0))
-        assert len(tapes) == len(log.rows) == 20
-        # 2 leaves per trainable material and the fused loss node
-        assert max(t.num_nodes for t in tapes) < 50
+        # the kernel's closed-form gradient is used directly
+        assert len(log.rows) == 20
+        assert tapes == []
         buried = init.materials["buried_mat"]  # no path reaches it
         assert log.final_values["mat:buried_mat:eps_r"] == buried.eps_r
         assert log.final_values["mat:buried_mat:sigma"] == buried.sigma
@@ -341,10 +346,12 @@ class TestOrientation:
         sc = load_scene(bundled_scene("orient"))
         sc.tx_array = AntennaArray(pattern="iso", polarization="V")
         log = optimize_orientation(sc, self.region_at_45deg(),
-                                   OptimConfig(iterations=10, max_depth=1))
+                                   OptimConfig(iterations=30, max_depth=1))
         # orientation-invariant: gradient ~ 0, orientation barely moves
         assert abs(log.final_values["dev:tx:yaw"]) < 1e-6
         assert log.losses[-1] == pytest.approx(log.losses[0], rel=1e-9)
+        # a flat objective stops once the window of 10 rows behind it is full
+        assert len(log.rows) == 11
 
     def test_unreachable_region_warns_and_keeps_orientation(self, two_ray_scene):
         region = GridSpec(origin=(40.0, -5.0), cell_size=5.0, nx=1, ny=1,
