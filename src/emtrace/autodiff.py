@@ -38,7 +38,8 @@ class DiffScalar:
     # -- helpers -----------------------------------------------------------
 
     def _coerce(self, other):
-        """Wrap a real operand, or None for types handled elsewhere."""
+        """Wrap a real operand, or None for another type (a DiffComplex right operand
+        of +, - and * takes over through its reflected method)."""
         if isinstance(other, DiffScalar):
             if other.tape is not None and self.tape is not None and other.tape is not self.tape:
                 raise TapeError("operands recorded on different tapes")
@@ -46,10 +47,6 @@ class DiffScalar:
         if isinstance(other, (int, float)):
             return DiffScalar(float(other))
         return None
-
-    def __repr__(self):
-        tag = f", slot={self.slot}" if self.tape is not None else ""
-        return f"DiffScalar({self.value!r}{tag})"
 
     def __float__(self):
         return float(self.value)
@@ -72,8 +69,6 @@ class DiffScalar:
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         return _binary(o, self, o.value - self.value, 1.0, -1.0)
 
     def __mul__(self, other):
@@ -86,23 +81,16 @@ class DiffScalar:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         inv = 1.0 / o.value
         return _binary(self, o, self.value / o.value, inv, -self.value * inv * inv)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
         return _unary(self, -self.value, -1.0)
 
     def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            return NotImplemented
         v = self.value ** p
         return _unary(self, v, p * self.value ** (p - 1))
 
@@ -114,14 +102,8 @@ class DiffScalar:
     def __lt__(self, other):
         return self.value < _val(other)
 
-    def __le__(self, other):
-        return self.value <= _val(other)
-
     def __gt__(self, other):
         return self.value > _val(other)
-
-    def __ge__(self, other):
-        return self.value >= _val(other)
 
 
 def _val(x) -> float:
@@ -289,9 +271,6 @@ class DiffComplex:
     def to_complex(self) -> complex:
         return complex(_val(self.re), _val(self.im))
 
-    def __repr__(self):
-        return f"DiffComplex({_val(self.re)!r}, {_val(self.im)!r})"
-
     def __add__(self, other):
         o = _ccoerce(other)
         return DiffComplex(self.re + o.re, self.im + o.im)
@@ -316,8 +295,6 @@ class DiffComplex:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, DiffScalar)):
-            return DiffComplex(self.re / other, self.im / other)
         o = _ccoerce(other)
         # Smith's division: scale by the larger component of o instead of
         # forming |o|^2, which under- or overflows far sooner than o itself
@@ -328,12 +305,6 @@ class DiffComplex:
         r = o.re / o.im
         d = o.re * r + o.im
         return DiffComplex((self.re * r + self.im) / d, (self.im * r - self.re) / d)
-
-    def __rtruediv__(self, other):
-        return _ccoerce(other).__truediv__(self)
-
-    def __neg__(self):
-        return DiffComplex(-self.re, -self.im)
 
     def conj(self) -> "DiffComplex":
         return DiffComplex(self.re, -self.im)

@@ -194,8 +194,6 @@ def _gather(scene):
     """Concatenate all object triangles into flat primitive arrays."""
     v0s, e1s, e2s, objs = [], [], [], []
     for oi, obj in enumerate(scene.objects):
-        if not len(obj.triangles):
-            continue
         v = obj.vertices
         t = obj.triangles
         v0s.append(v[t[:, 0]])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,8 @@ def subcarrier_frequencies(num_subcarriers: int, spacing: float) -> np.ndarray:
     """Centered grid f_k = (k - (N-1)/2) * spacing, k = 0..N-1."""
     if num_subcarriers < 1:
         raise ChannelError("need at least one subcarrier")
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise ChannelError(f"subcarrier spacing must be positive and finite, got {spacing}")
     k = np.arange(num_subcarriers, dtype=np.float64)
     return (k - (num_subcarriers - 1) / 2.0) * spacing
 
@@ -143,6 +146,14 @@ class GridSpec:
     nx: int
     ny: int
     height: float = 1.5
+
+    def __post_init__(self):
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0.0):
+            raise ChannelError(f"grid cell_size must be positive and finite, got {self.cell_size}")
+        if not all(math.isfinite(x) for x in self.origin):
+            raise ChannelError(f"grid origin must be finite, got {self.origin}")
+        if not math.isfinite(self.height):
+            raise ChannelError(f"grid height must be finite, got {self.height}")
 
     def cell_center(self, ix: int, iy: int) -> np.ndarray:
         return np.array([self.origin[0] + (ix + 0.5) * self.cell_size,
@@ -192,14 +203,13 @@ def probe_receiver(point) -> RadioDevice:
                        position=np.asarray(point, dtype=np.float64))
 
 
-def probe_paths(scene, bvh, tx_dev, points, max_depth: int,
+def probe_paths(bvh, tx_dev, points, max_depth: int,
                 method: str = "exhaustive", num_rays: int = 4096):
     """Yield (probe, paths) per point, all solved from one candidate set."""
-    candidates = candidate_set(scene, bvh, tx_dev.position, max_depth, method,
-                               num_rays)
+    candidates = candidate_set(bvh, tx_dev.position, max_depth, method, num_rays)
     for point in points:
         probe = probe_receiver(point)
-        yield probe, solve_candidates(scene, bvh, tx_dev, probe, candidates)
+        yield probe, solve_candidates(bvh, tx_dev, probe, candidates)
 
 
 class ProbeKernel:
@@ -306,7 +316,7 @@ def coverage_map(scene, bvh, grid: GridSpec, max_depth: int,
     tx_dev = scene.device(tx_name) if tx_name else txs[0]
     centers = (grid.cell_center(ix, iy)
                for iy in range(grid.ny) for ix in range(grid.nx))
-    traced = probe_paths(scene, bvh, tx_dev, centers, max_depth, method, num_rays)
+    traced = probe_paths(bvh, tx_dev, centers, max_depth, method, num_rays)
     gains = np.zeros(grid.num_cells)  # row-major, as the [ny, nx] map
     for lo in range(0, grid.num_cells, CELL_CHUNK):
         links = [(tx_dev, probe, paths)

@@ -28,7 +28,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .autodiff import DiffComplex, DiffScalar, cos, csqrt_posreal, exp, minimum, sin, sqrt
+from .autodiff import (DiffComplex, DiffScalar, _ccoerce, cos, csqrt_posreal, exp,
+                       minimum, sin, sqrt)
 from .geometry import (SPEED_OF_LIGHT, mat_t_vec, mat_vec, rotation_entries,
                        rotation_from_ypr, spherical_angles, t_cross, t_dot, t_norm,
                        t_normalize, t_scale, t_sub)
@@ -140,10 +141,7 @@ def fresnel(eta, cos_theta_i):
     into the medium. The parallel coefficient is measured against the
     e_perp x k_out basis: r_TM(0) == r_TE(0) == (1 - sqrt(eta))/(1 + sqrt(eta)).
     """
-    if isinstance(eta, complex):
-        eta = DiffComplex(eta.real, eta.imag)
-    elif not isinstance(eta, DiffComplex):
-        eta = DiffComplex(eta, 0.0)
+    eta = _ccoerce(eta)
     if cos_theta_i < _COS_FLOOR:
         cos_theta_i = _COS_FLOOR
     sin2 = 1.0 - cos_theta_i * cos_theta_i
@@ -617,8 +615,8 @@ def apply_doppler(gains: ChannelGains, sampling_frequency: float,
     frame, either one 3-vector applied to every device of that side or a
     dict keyed by device name. Doppler is phase-only: |a| is constant in n.
     """
-    if num_time_steps < 1 or sampling_frequency <= 0:
-        raise EmError("need num_time_steps >= 1 and a positive sampling frequency")
+    if num_time_steps < 1 or not 0.0 < sampling_frequency < math.inf:
+        raise EmError("need num_time_steps >= 1 and a positive, finite sampling frequency")
     if gains.entries and gains.entries[0].a.shape[-1] != 1:
         raise EmError("doppler already applied to these gains")
 

@@ -278,7 +278,7 @@ def generate_dataset(scene, positions=None, num_subcarriers: int = 128,
         raise OptimError("no probe positions to generate data for")
     f = subcarrier_frequencies(num_subcarriers, subcarrier_spacing_hz)
     links = [(tx_dev, probe, paths) for probe, paths in probe_paths(
-        scene, bvh, tx_dev, positions, max_depth, method, num_rays)]
+        bvh, tx_dev, positions, max_depth, method, num_rays)]
     kernel = PathKernel(scene, bvh, links, *_central_elements(scene))
     gains = iter(kernel.gains(kernel.etas(EvalContext(scene)))[0, 0])
     records = []
@@ -319,7 +319,7 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
     tx_dev = scene.transmitters[0]
     f = subcarrier_frequencies(dataset.num_subcarriers, dataset.subcarrier_spacing_hz)
 
-    traced = probe_paths(scene, bvh, tx_dev, [r.position for r in dataset.records],
+    traced = probe_paths(bvh, tx_dev, [r.position for r in dataset.records],
                          config.max_depth, config.method, config.num_rays)
     links = [(tx_dev, probe, paths) for probe, paths in traced]
     nmse = _FrozenNmse(PathKernel(scene, bvh, links, *_central_elements(scene)),
@@ -368,7 +368,7 @@ def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = N
     values = dict(zip(keys, (float(a) for a in tx_dev.orientation)))
 
     links = [(tx_dev, probe, paths) for probe, paths in probe_paths(
-        scene, bvh, tx_dev, cells, config.max_depth, config.method,
+        bvh, tx_dev, cells, config.max_depth, config.method,
         config.num_rays)]  # orientation never moves path geometry
     if all(len(paths) == 0 for _, _, paths in links):
         warnings.warn("no propagation path reaches the target region; "

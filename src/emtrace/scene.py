@@ -81,10 +81,9 @@ def material_eval(m: RadioMaterial, frequency_hz: float,
     """Evaluate (eps_r, sigma, eta) at ``frequency_hz``.
 
     Overrides replace the stored values; they are how trainable materials
-    get wired to tape leaves without mutating the scene.
+    get wired to tape leaves without mutating the scene. ``frequency_hz``
+    is positive, as :meth:`Scene.validate` guarantees for a scene's carrier.
     """
-    if frequency_hz <= 0.0:
-        raise SceneError("carrier frequency must be positive")
     if m.model == "constant":
         eps_r, sigma = m.eps_r, m.sigma
     else:
@@ -123,7 +122,7 @@ class AntennaArray:
 
     def validate(self, key: str = "array"):
         if self.num_rows < 1 or self.num_cols < 1:
-            raise SceneError(f"{key} needs at least one row and column")
+            raise SceneError(f"{key}: num_rows and num_cols must be >= 1")
         for name in ("vertical_spacing", "horizontal_spacing"):
             if not 0 < getattr(self, name) < math.inf:
                 raise SceneError(f"{key}: {name} must be positive and finite")
@@ -338,11 +337,6 @@ def _material_from_dict(d: dict) -> RadioMaterial:
     model = d.get("model", "constant")
     params = d.get("params", {})
     trainable = _flag(d.get("trainable", False), f"material {name!r}: trainable")
-    if model == "constant":
-        return RadioMaterial(name, "constant",
-                             eps_r=_number(params.get("eps_r", 1.0), f"material {name!r}: eps_r"),
-                             sigma=_number(params.get("sigma", 0.0), f"material {name!r}: sigma"),
-                             trainable=trainable)
     if model == "power_law":
         try:
             coeffs = tuple(_number(params[k], f"material {name!r}: {k}")
@@ -350,7 +344,11 @@ def _material_from_dict(d: dict) -> RadioMaterial:
         except KeyError as e:
             raise SceneError(f"material {name!r}: power_law missing coefficient {e}") from None
         return RadioMaterial(name, "power_law", coeffs=coeffs, trainable=trainable)
-    raise SceneError(f"material {name!r}: unknown model {model!r}")
+    # constant, or an unknown model that RadioMaterial.validate rejects
+    return RadioMaterial(name, model,
+                         eps_r=_number(params.get("eps_r", 1.0), f"material {name!r}: eps_r"),
+                         sigma=_number(params.get("sigma", 0.0), f"material {name!r}: sigma"),
+                         trainable=trainable)
 
 
 def _array_from_dict(d: dict, key: str) -> AntennaArray:
@@ -384,7 +382,8 @@ def scene_from_dict(data: dict, base_dir: str = ".") -> Scene:
             flat_t = _numbers(od.get("triangles", []), f"object {name!r}: triangles",
                               integer=True)
             if flat_v.size % 3 or flat_t.size % 3:
-                raise SceneError(f"object {name!r}: vertex/triangle lists must be flat x,y,z triplets")
+                raise SceneError(f"object {name!r}: vertices_m and triangles must be flat "
+                                 "lists of triplets")
             verts = flat_v.reshape(-1, 3)
             tris = flat_t.reshape(-1, 3)
         objects.append(SceneObject(name=name, material=od.get("material", ""),

@@ -230,7 +230,7 @@ def image_solve(tx_name, rx_name, tx_pos, rx_pos, seq, bvh: Bvh):
                                             seqs, bvh)), None)
 
 
-def los_path(scene, bvh: Bvh, tx_dev, rx_dev):
+def los_path(bvh: Bvh, tx_dev, rx_dev):
     """LOS path between two devices, or None when the segment is blocked."""
     if np.allclose(tx_dev.position, rx_dev.position):
         raise TracerError(f"tx {tx_dev.name!r} and rx {rx_dev.name!r} coincide")
@@ -240,20 +240,17 @@ def los_path(scene, bvh: Bvh, tx_dev, rx_dev):
                             rx_dev.position, [], bvh)
 
 
-def _enumerated_groups(bvh: Bvh, max_depth: int, cap: int = ENUM_CAP) -> list:
+def _enumerated_groups(bvh: Bvh, max_depth: int) -> list:
     """All sequences of 1..max_depth primitives without immediate repeats.
 
     One int array [order, m] per order, its columns in lexicographic order.
+    :func:`candidate_set` calls it with max_depth >= 1 and a non-empty ``bvh``.
     """
-    if max_depth < 1:
-        raise TracerError("max_depth must be >= 1 for candidate enumeration")
     n = bvh.num_prims
-    if n == 0:
-        return []
-    if n ** max_depth > cap:
+    if n ** max_depth > ENUM_CAP:
         raise TracerError(
             f"exhaustive enumeration of {n} primitives at depth {max_depth} "
-            f"exceeds the cap of {cap:.0e} sequences; use the fibonacci "
+            f"exceeds the cap of {ENUM_CAP:.0e} sequences; use the fibonacci "
             "ray-launching method instead")
     seqs = np.arange(n, dtype=np.int32)[None, :]
     groups = [seqs]
@@ -266,13 +263,13 @@ def _enumerated_groups(bvh: Bvh, max_depth: int, cap: int = ENUM_CAP) -> list:
     return groups
 
 
-def enumerate_candidates(bvh: Bvh, max_depth: int, cap: int = ENUM_CAP):
+def enumerate_candidates(bvh: Bvh, max_depth: int):
     """All primitive sequences of length 1..max_depth, no immediate repeats."""
-    return [seq for seqs in _enumerated_groups(bvh, max_depth, cap)
+    return [seq for seqs in candidate_set(bvh, None, max_depth)
             for seq in zip(*seqs.tolist())]
 
 
-def launch_candidates(scene, bvh: Bvh, tx_pos, max_depth: int,
+def launch_candidates(bvh: Bvh, tx_pos, max_depth: int,
                       num_rays: int = DEFAULT_NUM_RAYS):
     """Candidate sequences hit by Fibonacci-lattice rays from ``tx_pos``.
 
@@ -306,51 +303,53 @@ def _merge_coincident(paths):
     """Merge specular paths whose interaction points all coincide.
 
     Coplanar triangles can produce one physical path under several ids;
-    the representative with the smallest sequence wins.
+    the representative with the smallest sequence wins. Only paths of one
+    order merge, and ``paths`` holds each order's paths in ascending
+    sequence order (the column order of :func:`candidate_set`), so the
+    first path kept of a set of twins is already the smallest.
     """
     kept = []
     for p in paths:
-        merged = False
-        for i, q in enumerate(kept):
+        for q in kept:
             if (p.kind == q.kind and p.order == q.order and p.order > 0
                     and np.max(np.abs(p.vertices - q.vertices)) < MERGE_TOL):
-                if p.seq < q.seq:
-                    kept[i] = p
-                merged = True
                 break
-        if not merged:
+        else:
             kept.append(p)
     return kept
 
 
-def candidate_set(scene, bvh: Bvh, tx_pos, max_depth: int,
+def candidate_set(bvh: Bvh, tx_pos, max_depth: int,
                   method: str = "exhaustive",
                   num_rays: int = DEFAULT_NUM_RAYS) -> list:
     """Duplicate-free candidate sequences from one transmitter position.
 
     Returns one int array [order, m] per order, by ascending order, whose
-    columns are the sequences in lexicographic order.
+    columns are the sequences in lexicographic order. ``tx_pos`` is read by
+    the fibonacci method only.
     """
     if method not in ("exhaustive", "fibonacci"):
         raise TracerError(f"unknown path-finding method {method!r}")
+    if max_depth < 0:
+        raise TracerError(f"max_depth must be >= 0, got {max_depth}")
     if max_depth < 1 or not bvh.num_prims:
         return []
     if method == "exhaustive":  # unique by construction, no tuples made
         return _enumerated_groups(bvh, max_depth)
-    found = sorted(launch_candidates(scene, bvh, tx_pos, max_depth, num_rays))
+    found = sorted(launch_candidates(bvh, tx_pos, max_depth, num_rays))
     found.sort(key=len)  # stable: by order, lexicographic within each order
     return [np.fromiter(itertools.chain.from_iterable(group), dtype=np.int32)
             .reshape(-1, order).T
             for order, group in itertools.groupby(found, key=len)]
 
 
-def solve_candidates(scene, bvh: Bvh, tx_dev, rx_dev, candidates) -> list:
+def solve_candidates(bvh: Bvh, tx_dev, rx_dev, candidates) -> list:
     """Valid paths from one tx to one rx, sorted.
 
     ``candidates`` is the :func:`candidate_set` of ``tx_dev``'s position.
     """
     paths = []
-    los = los_path(scene, bvh, tx_dev, rx_dev)
+    los = los_path(bvh, tx_dev, rx_dev)
     if los is not None:
         paths.append(los)
     for seqs in candidates:
@@ -365,9 +364,8 @@ def compute_paths_between(scene, bvh: Bvh, tx_dev, rx_dev, max_depth: int,
                           method: str = "exhaustive",
                           num_rays: int = DEFAULT_NUM_RAYS):
     """All valid paths from one tx to one rx, deduplicated and sorted."""
-    candidates = candidate_set(scene, bvh, tx_dev.position, max_depth, method,
-                               num_rays)
-    return solve_candidates(scene, bvh, tx_dev, rx_dev, candidates)
+    candidates = candidate_set(bvh, tx_dev.position, max_depth, method, num_rays)
+    return solve_candidates(bvh, tx_dev, rx_dev, candidates)
 
 
 def compute_paths(scene, bvh: Bvh, max_depth: int, method: str = "exhaustive",
@@ -376,14 +374,11 @@ def compute_paths(scene, bvh: Bvh, max_depth: int, method: str = "exhaustive",
     txs, rxs = scene.transmitters, scene.receivers
     if not txs or not rxs:
         raise TracerError("scene needs at least one transmitter and one receiver")
-    if max_depth < 0:
-        raise TracerError("max_depth must be >= 0")
     all_paths = []
     for tx in txs:
-        candidates = candidate_set(scene, bvh, tx.position, max_depth, method,
-                                   num_rays)
+        candidates = candidate_set(bvh, tx.position, max_depth, method, num_rays)
         for rx in rxs:
-            all_paths.extend(solve_candidates(scene, bvh, tx, rx, candidates))
+            all_paths.extend(solve_candidates(bvh, tx, rx, candidates))
     return PathSet(scene=scene, max_depth=max_depth, method=method, paths=all_paths)
 
 

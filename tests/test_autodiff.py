@@ -150,6 +150,21 @@ def test_record_custom_skips_untracked_inputs():
     assert tape.gradient(f)["x"] == 1.5
 
 
+def test_record_custom_rejects_input_of_other_tape():
+    t1, t2 = Tape(), Tape()
+    with pytest.raises(TapeError, match="different tape"):
+        t1.record_custom(1.0, [t2.leaf(1.0, "x")], [1.0])
+
+
+def test_num_nodes_counts_leaves_and_operations():
+    tape = Tape()
+    assert tape.num_nodes == 0
+    x = tape.leaf(2.0, "x")
+    y = x * 3.0 + x  # mul, add
+    tape.record_custom(y.value, [x, y], [1.0, 1.0])
+    assert tape.num_nodes == 4
+
+
 class TestDiffComplex:
     def test_field_arithmetic(self):
         rng = np.random.RandomState(7)
@@ -171,6 +186,18 @@ class TestDiffComplex:
             want = za / zb
             got = (DiffComplex.from_complex(za) / DiffComplex.from_complex(zb)).to_complex()
             assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_mixed_with_real_and_python_complex(self):
+        tape = Tape()
+        x = tape.leaf(2.0, "x")
+        z = DiffComplex(1.0, -3.0)
+        # a tape scalar on the left defers to DiffComplex's reflected operators
+        assert (x * z).to_complex() == 2.0 - 6.0j
+        assert (x + z).to_complex() == 3.0 - 3.0j
+        assert (x - z).to_complex() == 1.0 + 3.0j
+        assert tape.gradient((x * z).im) == {"x": -3.0}
+        assert (z + 0.5j).to_complex() == 1.0 - 2.5j
+        assert (z * (1 + 1j)).to_complex() == 4.0 - 2.0j
 
     def test_expj(self):
         z = DiffComplex.expj(0.73)

@@ -40,6 +40,12 @@ class TestFirstHit:
         tree = accel.build(ground_scene())
         assert tree.intersect(np.array([0.0, 0, 1.0]), np.array([1.0, 0, 0.0])) is None
 
+    def test_ray_in_the_triangle_plane_misses(self):
+        # parallel to both ground triangles: their determinant is exactly zero
+        tree = accel.build(ground_scene())
+        with np.errstate(invalid="ignore"):  # the flat leaf box's slab is 0 * inf
+            assert tree.intersect(np.array([-5.0, 0.5, 0.0]), np.array([1.0, 0, 0.0])) is None
+
     def test_t_window_respected(self):
         tree = accel.build(ground_scene())
         o, d = np.array([0.0, 0, 1.0]), np.array([0.0, 0, -1.0])
@@ -117,6 +123,17 @@ class TestOccluded:
         tree = accel.build(ground_scene())
         with pytest.raises(ValueError):
             tree.occluded([1, 2, 3], [1, 2, 3])
+
+
+def test_objects_without_triangles_add_no_primitives():
+    ground = ground_scene()
+    empty = SceneObject("empty", "ground", np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    sc = make_scene(objects=[empty, *ground.objects], materials=ground.materials.values(),
+                    devices=ground.devices)
+    tree, ref = accel.build(sc), accel.build(ground)
+    assert tree.num_prims == 2
+    assert tree.prim_object.tolist() == [1, 1]
+    assert tree.solve_table.tobytes() == ref.solve_table.tobytes()
 
 
 def test_leaf_bounds_contain_primitives():

@@ -233,6 +233,18 @@ class TestCoverage:
         cm2 = coverage_map(sc2, accel.build(sc2), grid, max_depth=2)
         assert np.allclose(cm1.gains, cm2.gains, rtol=1e-9, atol=0)
 
+    def test_needs_a_transmitter(self, free_space_scene):
+        scene = dataclasses.replace(free_space_scene, devices=free_space_scene.receivers)
+        grid = GridSpec(origin=(0.0, 0.0), cell_size=1.0, nx=1, ny=1)
+        with pytest.raises(ChannelError, match="no transmitter"):
+            coverage_map(scene, accel.build(scene), grid, 1)
+
+    def test_unknown_tx_mode(self, free_space_scene):
+        grid = GridSpec(origin=(0.0, 0.0), cell_size=1.0, nx=1, ny=1)
+        with pytest.raises(ChannelError, match="tx_mode 'beam'"):
+            coverage_map(free_space_scene, accel.build(free_space_scene), grid, 1,
+                         tx_mode="beam")
+
     def test_cell_cap(self, free_space_scene):
         tree = accel.build(free_space_scene)
         grid = GridSpec(origin=(0, 0), cell_size=1.0, nx=1000, ny=1000)
@@ -247,7 +259,7 @@ def test_fibonacci_coverage_launches_once(box_scene, monkeypatch):
     launched = []
     real = tracer.launch_candidates
     monkeypatch.setattr(tracer, "launch_candidates",
-                        lambda *a, **k: launched.append(a[2]) or real(*a, **k))
+                        lambda *a, **k: launched.append(a[1]) or real(*a, **k))
     cm = coverage_map(box_scene, tree, grid, max_depth=2, method="fibonacci",
                       num_rays=256)
     tx = box_scene.device("tx")
@@ -453,6 +465,14 @@ def test_multi_device_dual_pol_tensor_layout():
                  * np.exp(-2j * np.pi * fr.frequencies[k] * cir.tau[r, t, p])
                  for p in range(cir.a.shape[4]))
     assert fr.h[r * 2 + re_, t * 4 + te, k, ti] == pytest.approx(manual, abs=1e-18)
+
+
+def test_load_cir_rejects_other_files(tmp_path):
+    from emtrace.channel import load_cir
+    p = tmp_path / "cm.bin"
+    p.write_bytes(b'{"format": "emtrace-coverage-v1"}\n')
+    with pytest.raises(ChannelError, match="not a CIR file"):
+        load_cir(str(p))
 
 
 def test_cir_binary_roundtrip(tmp_path, two_ray_scene, two_ray_bvh):

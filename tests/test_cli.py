@@ -80,6 +80,25 @@ class TestTrace:
                      id="trainable-text"),
         pytest.param("trainable", lambda d: d["materials"][0].update(trainable=1),
                      id="trainable-number"),
+        pytest.param("frequency_hz", lambda d: d.pop("frequency_hz"), id="frequency_hz-missing"),
+        pytest.param("without a name", lambda d: d["materials"][0].pop("name"),
+                     id="name-missing"),
+        pytest.param("unknown model 'magic'", lambda d: d["materials"][0].update(model="magic"),
+                     id="model-unknown"),
+        pytest.param("coefficient 'c'", lambda d: d["materials"][0].update(
+            model="power_law", params={"a": 5.0, "b": 0.0, "d": 0.5}), id="power_law-missing-c"),
+        pytest.param("vertices_m", lambda d: d["objects"][0].update(vertices_m=["a"] * 12),
+                     id="vertices_m-text"),
+        pytest.param("vertices_m", lambda d: d["objects"][0].update(vertices_m=[0.0] * 10),
+                     id="vertices_m-not-triplets"),
+        pytest.param("num_rows", lambda d: d["tx_array"].update(num_rows=1.5),
+                     id="num_rows-fraction"),
+        pytest.param("num_cols", lambda d: d["rx_array"].update(num_cols=0), id="num_cols-0"),
+        pytest.param("pattern 'horn'", lambda d: d["tx_array"].update(pattern="horn"),
+                     id="pattern-unknown"),
+        pytest.param("polarization 'L'", lambda d: d["rx_array"].update(polarization="L"),
+                     id="polarization-unknown"),
+        pytest.param("kind", lambda d: d["devices"][1].update(kind="relay"), id="kind-unknown"),
     ])
     def test_malformed_scene_field_exit_1(self, tmp_path, capsys, field, edit):
         data = json.load(open(bundled_scene("two_ray")))
@@ -148,6 +167,39 @@ class TestCoverage:
         assert (cm.gains > 0).all()
 
 
+    def test_default_center_is_the_scene_bounding_box_center(self, tmp_path):
+        from emtrace.scene import load_scene
+        out = str(tmp_path / "cm.bin")
+        assert run(["coverage", "--scene", bundled_scene("box"), "--max-depth", "0",
+                    "--grid", "2x4", "--cell", "1.5", "--out", out]) == 0
+        scene = load_scene(bundled_scene("box"))
+        pts = np.vstack([d.position for d in scene.devices]
+                        + [o.vertices for o in scene.objects])[:, :2]
+        cx, cy = (pts.min(axis=0) + pts.max(axis=0)) / 2.0
+        assert CoverageMap.load_binary(out).grid.origin == (cx - 1.5, cy - 3.0)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid", "0x3", "grid dimensions must be positive"),
+        ("--grid", "3x-1", "grid dimensions must be positive"),
+        ("--center", "1", "center must look like X,Y"),
+        ("--center", "1,north", "center must look like X,Y"),
+        ("--cell", "0", "cell_size must"), ("--cell", "-5", "cell_size must"),
+        ("--cell", "nan", "cell_size must"), ("--cell", "inf", "cell_size must"),
+        ("--center", "nan,0", "origin must"), ("--center", "0,inf", "origin must"),
+        ("--height", "nan", "height must"), ("--height", "-inf", "height must"),
+        ("--max-depth", "-1", "max_depth must"),
+        ("--num-rays", "0", "num_rays"),
+    ])
+    def test_bad_grid_or_tracing_flag_exit_1(self, tmp_path, capsys, flag, value, message):
+        args = {"--grid": "2x2", "--cell": "5", "--center": "0,0", "--height": "1.5",
+                "--max-depth": "1", "--num-rays": "64", flag: value}
+        out = tmp_path / "cm.bin"
+        rc = run(["coverage", "--scene", bundled_scene("two_ray"), "--method", "fibonacci",
+                  "--out", str(out)] + [f"{k}={v}" for k, v in args.items()])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 class TestGenDataset:
     def test_writes_loadable_dataset(self, tmp_path):
         out = str(tmp_path / "d.json")
@@ -157,6 +209,42 @@ class TestGenDataset:
         ds = Dataset.load(out)
         assert len(ds.records) == 25
         assert ds.records[0].h.shape == (16,)
+
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--spacing", "nan", "spacing must"), ("--spacing", "inf", "spacing must"),
+        ("--spacing", "0", "spacing must"), ("--spacing", "-30e3", "spacing must"),
+        ("--subcarriers", "0", "at least one subcarrier"),
+    ])
+    def test_bad_subcarrier_grid_exit_1(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "d.json"
+        rc = run(["gen-dataset", "--scene", bundled_scene("calib_truth"),
+                  "--max-depth", "1", f"{flag}={value}", "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestMaxDepth:
+    @pytest.mark.parametrize("command", ["trace", "coverage", "gen-dataset",
+                                         "calibrate", "orient"])
+    def test_negative_max_depth_exit_1(self, tmp_path, capsys, command):
+        extra = {"trace": ["--scene", bundled_scene("two_ray")],
+                 "coverage": ["--scene", bundled_scene("two_ray"), "--grid", "2x2",
+                              "--cell", "5"],
+                 "gen-dataset": ["--scene", bundled_scene("calib_truth")],
+                 "calibrate": ["--scene", bundled_scene("calib_init"), "--dataset",
+                               str(tmp_path / "d.json"), "--log", str(tmp_path / "l.csv")],
+                 "orient": ["--scene", bundled_scene("orient"), "--grid", "1x1",
+                            "--cell", "5", "--log", str(tmp_path / "l.csv")]}[command]
+        if command == "calibrate":
+            assert run(["gen-dataset", "--scene", bundled_scene("calib_truth"),
+                        "--max-depth", "1", "--subcarriers", "8",
+                        "--out", str(tmp_path / "d.json")]) == 0
+        rc = run([command, "--max-depth", "-1", "--out", str(tmp_path / "out")] + extra)
+        assert rc == 1
+        assert "max_depth must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCalibrate:
@@ -307,6 +395,10 @@ class TestRender:
         # grid row 0 renders at the image bottom
         assert np.array_equal(img[-1, 0], _RAMP[0])
         assert not np.array_equal(img[0, 0], _RAMP[0])
+
+    def test_map_at_the_floor_gets_the_floor_color(self):
+        from emtrace.render import _RAMP, colorize
+        assert (colorize(np.full((2, 3), -150.0)) == _RAMP[0]).all()
 
     def test_two_ray_overlay_draws_two_polylines(self, two_ray_scene, two_ray_bvh):
         from emtrace.render import _PATH_COLORS

@@ -154,6 +154,13 @@ class TestFresnel:
         fd = (reflectance(3.0 + h) - reflectance(3.0 - h)) / (2 * h)
         assert g == pytest.approx(fd, rel=1e-5)
 
+    def test_real_complex_and_diff_permittivity_agree(self):
+        from emtrace.autodiff import DiffComplex
+        want = fresnel(DiffComplex(4.0, 0.0), 0.6)
+        for eta in (4.0, 4 + 0j):
+            got = fresnel(eta, 0.6)
+            assert [r.to_complex() for r in got] == [r.to_complex() for r in want]
+
     def test_against_textbook_form(self):
         # independent: classic expressions via sines and cosines
         rng = np.random.RandomState(4)
@@ -383,6 +390,13 @@ class TestPathCoefficient:
         fd = (power(x0 + h) - power(x0 - h)) / (2 * h)
         assert g == pytest.approx(fd, rel=1e-4)
 
+    def test_moved_endpoints_parallel_to_plane_rejected(self, two_ray_scene, two_ray_bvh):
+        refl = [p for p in compute_paths(two_ray_scene, two_ray_bvh, 1).paths
+                if p.kind == "specular"][0]
+        # mirrored tx and rx at equal height: the segment runs parallel to the ground
+        with pytest.raises(EmError, match="degenerated"):
+            geometry_for_positions(refl, (0.0, 0.0, 10.0), (100.0, 0.0, -10.0))
+
     def test_orientation_gradient_vs_fd(self, free_space_scene):
         tree = accel.build(free_space_scene)
         ps = compute_paths(free_space_scene, tree, 1)
@@ -447,6 +461,12 @@ class TestDoppler:
                               tx_velocities={"tx": [3, 0, 0]})
         a = gains.entries[0].a[0, 0, :]
         assert not np.allclose(a, a[0])
+
+    @pytest.mark.parametrize("fs, steps", [(1e6, 0), (0.0, 4), (-1e6, 4),
+                                           (float("nan"), 4), (math.inf, 4)])
+    def test_bad_sampling_rejected(self, fs, steps):
+        with pytest.raises(EmError, match="num_time_steps >= 1 and a positive"):
+            apply_doppler(self.make_los_gains(), fs, steps)
 
     def test_double_application_rejected(self):
         gains = apply_doppler(self.make_los_gains(), 1e6, 4)

@@ -1,5 +1,6 @@
 """Losses, dataset generation, and the two gradient experiments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from emtrace.autodiff import DiffComplex, Tape
 from emtrace.channel import GridSpec, subcarrier_frequencies
 from emtrace.em import EvalContext, geometry_from_path, path_materials, transfer
 from emtrace.geometry import rotation_from_ypr
-from emtrace.optim import (Dataset, OptimConfig, OptimError, TrainLog,
+from emtrace.optim import (Dataset, OptimConfig, OptimError, TrainLog, _converged,
                            generate_dataset,
                            learn_materials, nmse_loss, optimize_orientation)
 from emtrace.scene import (AntennaArray, RadioDevice, RadioMaterial,
@@ -35,6 +36,10 @@ class TestNmse:
     def test_zero_target_rejected(self):
         with pytest.raises(OptimError):
             nmse_loss(np.ones(3, complex), np.zeros(3, complex))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(OptimError, match="shape mismatch"):
+            nmse_loss(np.ones(2, complex), np.ones(3, complex))
 
 
 def test_projected_sq_error_gradient_vs_fd():
@@ -99,6 +104,22 @@ class TestDataset:
         assert back.num_subcarriers == 16
         assert np.array_equal(back.records[0].h, ds.records[0].h)
         assert np.array_equal(back.records[0].position, ds.records[0].position)
+
+    def test_load_rejects_non_numeric_fields(self, tmp_path):
+        p = tmp_path / "d.json"
+        p.write_text('{"frequency_hz": 1e9, "num_subcarriers": 1, "subcarrier_spacing_hz": 1,'
+                     ' "records": [{"position_m": ["a", 0, 0], "h_re": [1], "h_im": [0]}]}')
+        with pytest.raises(OptimError, match="fields must be numbers"):
+            Dataset.load(str(p))
+
+    def test_needs_a_transmitter_and_positions(self, free_space_scene):
+        no_tx = dataclasses.replace(free_space_scene, devices=free_space_scene.receivers)
+        with pytest.raises(OptimError, match="no transmitter"):
+            generate_dataset(no_tx)
+        no_rx = dataclasses.replace(free_space_scene,
+                                    devices=free_space_scene.transmitters)
+        with pytest.raises(OptimError, match="no probe positions"):
+            generate_dataset(no_rx)
 
 
 def small_calibration_problem(truth_eps=6.5, truth_sigma=0.04, init=(3.0, 0.1)):
@@ -192,6 +213,12 @@ class TestLearnMaterials:
         ds.frequency_hz *= 2
         with pytest.raises(OptimError, match="frequenc"):
             learn_materials(init_scene, ds)
+
+    def test_zero_norm_record_rejected(self):
+        _, init_scene, ds = small_calibration_problem()
+        ds.records[2].h = np.zeros_like(ds.records[2].h)
+        with pytest.raises(OptimError, match="zero-norm target"):
+            learn_materials(init_scene, ds, OptimConfig(max_depth=1))
 
     def test_non_finite_loss_aborts_with_diagnostic(self):
         _, init_scene, ds = small_calibration_problem()
@@ -360,6 +387,18 @@ class TestOrientation:
             log = optimize_orientation(two_ray_scene, region,
                                        OptimConfig(iterations=10, max_depth=1))
         assert log.final_values["dev:tx:yaw"] == 0.0
+
+    def test_empty_region_rejected(self):
+        region = GridSpec(origin=(0.0, 0.0), cell_size=5.0, nx=0, ny=3)
+        with pytest.raises(OptimError, match="empty region"):
+            optimize_orientation(load_scene(bundled_scene("orient")), region)
+
+
+def test_converged_against_a_zero_reference_loss():
+    # the relative stop cannot divide by a zero loss; it stops once the loss is 0 again
+    assert _converged([0.0] * 11, 1e-6)
+    assert not _converged([0.0] * 10 + [1e-300], 1e-6)
+    assert not _converged([0.0] * 10, 1e-6)
 
 
 def test_trainlog_csv_format(tmp_path):

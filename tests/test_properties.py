@@ -92,9 +92,9 @@ def _reference_accepts(tx, rx, seq):
     return points
 
 
-def _batched_paths(scene, tree, tx, rx, max_depth):
+def _batched_paths(tree, tx, rx, max_depth):
     """Accepted paths of the batched solver, before coincident paths merge."""
-    return [p for seqs in candidate_set(scene, tree, tx, max_depth)
+    return [p for seqs in candidate_set(tree, tx, max_depth)
             for _, p in _solve_paths("tx", "rx", tuple(tx), tuple(rx), seqs, tree)]
 
 
@@ -109,6 +109,19 @@ around_box = st.tuples(_off_faces(-4.0, 14.0, 10.0), _off_faces(-4.0, 12.0, 8.0)
                        _off_faces(-2.0, 7.0, 4.0))
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(tx=around_box, method=st.sampled_from(["exhaustive", "fibonacci"]),
+       max_depth=st.integers(1, 3))
+def test_candidate_columns_are_lexicographic_within_each_order(tx, method, max_depth):
+    # _merge_coincident keeps the first of coplanar twins as the smallest
+    # sequence because solve_candidates sees each order in this column order
+    groups = candidate_set(TREE, tx, max_depth, method, NUM_RAYS)
+    assert [seqs.shape[0] for seqs in groups] == list(range(1, len(groups) + 1))
+    for seqs in groups:
+        cols = [tuple(c) for c in seqs.T.tolist()]
+        assert cols == sorted(set(cols))
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=25)
 @given(tx=around_box, rx=around_box)
 def test_batched_solve_matches_per_candidate_reference(tx, rx):
@@ -118,7 +131,7 @@ def test_batched_solve_matches_per_candidate_reference(tx, rx):
         points = _reference_accepts(tx, rx, seq)
         if points is not None:
             accepted[seq] = points
-    paths = _batched_paths(BOX, TREE, tx, rx, 2)
+    paths = _batched_paths(TREE, tx, rx, 2)
     assert sorted(p.seq for p in paths) == sorted(accepted)
     for p in paths:  # the batched points are solve_points' floats, bit for bit
         assert p.vertices[1:-1].tobytes() == np.array(accepted[p.seq]).tobytes()
@@ -132,9 +145,9 @@ def test_candidates_beyond_one_chunk_match_one_candidate_solves():
     scene = make_scene(objects=walls, materials=[RadioMaterial("wall", "constant")])
     tree = accel.build(scene)
     tx, rx = (1.5, 11.2, 1.4), (4.0, 10.1, 1.7)
-    groups = candidate_set(scene, tree, tx, 2)
+    groups = candidate_set(tree, tx, 2)
     assert groups[-1].shape[1] > CHUNK
-    batched = _batched_paths(scene, tree, tx, rx, 2)
+    batched = _batched_paths(tree, tx, rx, 2)
     single = [p for seqs in groups for seq in seqs.T.tolist()
               if (p := image_solve("tx", "rx", tx, rx, seq, tree)) is not None]
     assert [_key(p) for p in batched] == [_key(p) for p in single]

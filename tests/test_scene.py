@@ -95,6 +95,30 @@ class TestLoader:
         sc = load_scene(write_minimal(tmp_path, patch))
         assert len(sc.objects[0].triangles) == 2  # quad fan-triangulated
 
+    @pytest.mark.parametrize("match, text", [
+        ("mesh.obj:2: malformed vertex record", "v 0 0 0\nv 1 0\n"),
+        ("mesh.obj:4: face needs >= 3 vertices", "v 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 2\n"),
+        ("bad vertex/triangle shapes", "# no records\n"),
+    ])
+    def test_malformed_obj_mesh_named(self, tmp_path, match, text):
+        (tmp_path / "mesh.obj").write_text(text)
+        def patch(d):
+            d["objects"][0] = {"name": "mesh", "material": "concrete",
+                               "mesh_file": "mesh.obj"}
+        with pytest.raises(SceneError, match=match):
+            load_scene(write_minimal(tmp_path, patch))
+
+    def test_power_law_roundtrip(self, tmp_path):
+        src = load_scene(write_minimal(tmp_path))
+        out = str(tmp_path / "copy.scene")
+        write_scene(src, out)
+        assert scene_to_dict(load_scene(out)) == scene_to_dict(src)
+        assert load_scene(out).materials["concrete"].coeffs == (5.24, 0.0, 0.0462, 0.7822)
+
+    def test_unknown_bundled_scene(self):
+        with pytest.raises(SceneError, match="no bundled scene named 'atlantis'"):
+            bundled_scene("atlantis")
+
     def test_roundtrip_equivalence(self, tmp_path):
         src = load_scene(bundled_scene("two_ray"))
         out = str(tmp_path / "copy.scene")
@@ -166,6 +190,10 @@ class TestMaterials:
             RadioMaterial("bad", "constant", sigma=-1.0).validate()
         with pytest.raises(SceneError):
             RadioMaterial("bad", "power_law", coeffs=(1, 2, 3, 4), trainable=True).validate()
+        with pytest.raises(SceneError, match="unknown model"):
+            RadioMaterial("bad", "tabulated").validate()
+        with pytest.raises(SceneError, match="coeffs"):
+            RadioMaterial("bad", "power_law", coeffs=(1, 2, 3)).validate()
 
 
 class TestArrays:

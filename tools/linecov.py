@@ -5,9 +5,9 @@ Run from the repository root:
     PYTHONPATH=src:tools python -m pytest -p linecov
 
 It traces every line run in the package's functions and, at the end of the
-session, lists per module the function lines that never ran. Module and
-class bodies and ``def`` lines are not counted. Tracing slows the suite
-about threefold, so timing assertions may fail under it.
+session, lists per module the function lines that never ran, then their
+total. Module and class bodies and ``def`` lines are not counted. Tracing
+slows the suite about fourfold, so timing assertions may fail under it.
 """
 
 from __future__ import annotations
@@ -50,9 +50,12 @@ def pytest_terminal_summary(terminalreporter):
     sys.settrace(None)
     threading.settrace(None)
     terminalreporter.section("line coverage of src/emtrace (unexecuted function lines)")
+    total = 0
     for path in sorted(SRC.glob("*.py")):
         lines = set()
         _function_lines(compile(path.read_text(), str(path), "exec"), lines)
         missed = sorted(n for n in lines if (str(path), n) not in _hits)
+        total += len(missed)
         terminalreporter.write_line(f"{path.name}: {len(lines) - len(missed)}/{len(lines)}"
                                     + (f" ; missed {missed}" if missed else ""))
+    terminalreporter.write_line(f"linecov: {total} unexecuted lines")
