@@ -13,13 +13,15 @@ from .autodiff import DiffComplex, DiffScalar
 from .em import EmError, EvalContext, PathKernel, element_field, synthetic_phase
 from .geometry import mat_vec, t_dot
 from .scene import RadioDevice
-from .tracer import candidate_set, compute_paths_between, solve_candidates
+from .tracer import compute_paths_between, trace_links
 
 PROBE_NAME = "__probe__"
 # orthonormal theta/phi polarization pair of the arrival direction
 _PROBES = [("_probe_theta", 0.0), ("_probe_phi", 0.0)]
 COVERAGE_MAGIC = "emtrace-coverage-v1"
 CELL_CHUNK = 1024  # coverage cells whose paths share one PathKernel
+CELL_CAP = 250_000  # most cells a coverage map may have
+FLOOR_DB = -150.0  # dB value of unreached cells and the floor of every map
 
 
 class ChannelError(ValueError):
@@ -148,6 +150,8 @@ class GridSpec:
     height: float = 1.5
 
     def __post_init__(self):
+        if self.nx < 0 or self.ny < 0:
+            raise ChannelError(f"grid nx and ny must be >= 0, got {self.nx} x {self.ny}")
         if not (math.isfinite(self.cell_size) and self.cell_size > 0.0):
             raise ChannelError(f"grid cell_size must be positive and finite, got {self.cell_size}")
         if not all(math.isfinite(x) for x in self.origin):
@@ -160,6 +164,10 @@ class GridSpec:
                          self.origin[1] + (iy + 0.5) * self.cell_size,
                          self.height])
 
+    def centers(self):
+        """Every cell center, row-major as the [ny, nx] map (x fastest)."""
+        return (self.cell_center(ix, iy) for iy in range(self.ny) for ix in range(self.nx))
+
     @property
     def num_cells(self) -> int:
         return self.nx * self.ny
@@ -171,10 +179,10 @@ class CoverageMap:
     gains: np.ndarray  # [ny, nx] linear path gain, 0 where no paths arrive
     frequency_hz: float
 
-    def to_db(self, floor_db: float = -150.0) -> np.ndarray:
-        out = np.full(self.gains.shape, floor_db)
+    def to_db(self) -> np.ndarray:
+        out = np.full(self.gains.shape, FLOOR_DB)
         mask = self.gains > 0
-        out[mask] = np.maximum(10.0 * np.log10(self.gains[mask]), floor_db)
+        out[mask] = np.maximum(10.0 * np.log10(self.gains[mask]), FLOOR_DB)
         return out
 
     def save_binary(self, path: str):
@@ -203,13 +211,16 @@ def probe_receiver(point) -> RadioDevice:
                        position=np.asarray(point, dtype=np.float64))
 
 
-def probe_paths(bvh, tx_dev, points, max_depth: int,
-                method: str = "exhaustive", num_rays: int = 4096):
-    """Yield (probe, paths) per point, all solved from one candidate set."""
-    candidates = candidate_set(bvh, tx_dev.position, max_depth, method, num_rays)
-    for point in points:
-        probe = probe_receiver(point)
-        yield probe, solve_candidates(bvh, tx_dev, probe, candidates)
+def probe_links(scene, bvh, points, max_depth: int, method: str, num_rays: int):
+    """Links (tx_dev, probe, paths) from the scene's first transmitter, one per point.
+
+    The links come lazily from :func:`tracer.trace_links`; a scene without
+    a transmitter raises :class:`ChannelError` at once.
+    """
+    txs = scene.transmitters
+    if not txs:
+        raise ChannelError("scene has no transmitter")
+    return trace_links(bvh, txs[0], map(probe_receiver, points), max_depth, method, num_rays)
 
 
 class ProbeKernel:
@@ -221,10 +232,11 @@ class ProbeKernel:
     transverse field power. The transmit side is the array's single central
     element for ``tx_mode="central"``; ``tx_mode="array"`` sums all
     elements coherently at their broadside plane-wave phases, evaluating
-    each distinct slant once. ``links`` holds (tx_dev, probe, paths).
+    each distinct slant once. ``links`` holds (tx_dev, probe, paths), all
+    from one transmitter.
     """
 
-    def __init__(self, scene, bvh, tx_dev, links, tx_mode: str = "central"):
+    def __init__(self, scene, bvh, links, tx_mode: str = "central"):
         if tx_mode not in ("central", "array"):
             raise ChannelError(f"unknown tx_mode {tx_mode!r}")
         arr = scene.tx_array
@@ -232,7 +244,7 @@ class ProbeKernel:
         self.offsets, slants = (arr.element_layout(scene.wavelength) if self.array
                                 else (np.zeros((1, 3)), arr.slants[:1]))
         slants, self.of_element = np.unique(slants, return_inverse=True)
-        self.scene, self.tx_dev = scene, tx_dev
+        self.scene, self.tx_dev = scene, links[0][0]
         self.elements = [(arr.pattern, float(s)) for s in slants]
         # world-axis tx fields: gains w with a = w . f_tx, whatever the tx orientation
         self.kernel = PathKernel(scene, bvh, links, None, _PROBES)
@@ -293,7 +305,7 @@ def point_path_gain(scene, bvh, tx_dev, point, max_depth: int,
     if frozen_paths is None:
         frozen_paths = compute_paths_between(scene, bvh, tx_dev, probe,
                                              max_depth, method, num_rays)
-    probes = ProbeKernel(scene, bvh, tx_dev, [(tx_dev, probe, frozen_paths)], tx_mode)
+    probes = ProbeKernel(scene, bvh, [(tx_dev, probe, frozen_paths)], tx_mode)
     if ctx is None:
         return float(probes.gains()[0]), frozen_paths
     return probes.total(ctx), frozen_paths
@@ -301,26 +313,18 @@ def point_path_gain(scene, bvh, tx_dev, point, max_depth: int,
 
 def coverage_map(scene, bvh, grid: GridSpec, max_depth: int,
                  method: str = "exhaustive", num_rays: int = 4096,
-                 tx_name: str | None = None, tx_mode: str = "central",
-                 cell_cap: int = 250_000) -> CoverageMap:
-    """Deterministic per-cell coverage.
+                 tx_mode: str = "central") -> CoverageMap:
+    """Deterministic per-cell coverage from the scene's first transmitter.
 
     Cell centers are solved one at a time from one candidate set; their
     gains are evaluated :data:`CELL_CHUNK` cells per kernel.
     """
-    if grid.num_cells > cell_cap:
-        raise ChannelError(f"grid has {grid.num_cells} cells, above the cap of {cell_cap}")
-    txs = scene.transmitters
-    if not txs:
-        raise ChannelError("scene has no transmitter")
-    tx_dev = scene.device(tx_name) if tx_name else txs[0]
-    centers = (grid.cell_center(ix, iy)
-               for iy in range(grid.ny) for ix in range(grid.nx))
-    traced = probe_paths(bvh, tx_dev, centers, max_depth, method, num_rays)
+    if grid.num_cells > CELL_CAP:
+        raise ChannelError(f"grid has {grid.num_cells} cells, above the cap of {CELL_CAP}")
+    traced = probe_links(scene, bvh, grid.centers(), max_depth, method, num_rays)
     gains = np.zeros(grid.num_cells)  # row-major, as the [ny, nx] map
     for lo in range(0, grid.num_cells, CELL_CHUNK):
-        links = [(tx_dev, probe, paths)
-                 for probe, paths in itertools.islice(traced, CELL_CHUNK)]
-        gains[lo:lo + len(links)] = ProbeKernel(scene, bvh, tx_dev, links, tx_mode).gains()
+        links = list(itertools.islice(traced, CELL_CHUNK))
+        gains[lo:lo + len(links)] = ProbeKernel(scene, bvh, links, tx_mode).gains()
     return CoverageMap(grid=grid, gains=gains.reshape(grid.ny, grid.nx),
                        frequency_hz=scene.frequency_hz)

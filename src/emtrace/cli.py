@@ -63,16 +63,15 @@ def build_parser() -> argparse.ArgumentParser:
                    description="Differentiable radio propagation ray tracer")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, tracing=True):
+    def add_common(sp):
         sp.add_argument("--scene", required=True, help="scene file to load")
-        if tracing:
-            sp.add_argument("--max-depth", type=int, default=3,
-                            help="maximum number of reflections per path")
-            sp.add_argument("--method", choices=["exhaustive", "fibonacci"],
-                            default="exhaustive",
-                            help="candidate search strategy")
-            sp.add_argument("--num-rays", type=int, default=4096,
-                            help="launched rays for the fibonacci method")
+        sp.add_argument("--max-depth", type=int, default=3,
+                        help="maximum number of reflections per path")
+        sp.add_argument("--method", choices=["exhaustive", "fibonacci"],
+                        default="exhaustive",
+                        help="candidate search strategy")
+        sp.add_argument("--num-rays", type=int, default=4096,
+                        help="launched rays for the fibonacci method")
 
     def add_grid(sp):
         sp.add_argument("--grid", type=_grid_type, required=True, metavar="WxH",

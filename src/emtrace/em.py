@@ -613,7 +613,9 @@ def apply_doppler(gains: ChannelGains, sampling_frequency: float,
 
     f_D = (f_c/c) * (k_dep . v_tx + (-k_arr) . v_rx). Velocities are world
     frame, either one 3-vector applied to every device of that side or a
-    dict keyed by device name. Doppler is phase-only: |a| is constant in n.
+    dict keyed by device name (a device it omits stands still). ``None``,
+    the default, takes each device's own scene velocity. Doppler is
+    phase-only: |a| is constant in n.
     """
     if num_time_steps < 1 or not 0.0 < sampling_frequency < math.inf:
         raise EmError("need num_time_steps >= 1 and a positive, finite sampling frequency")
@@ -622,7 +624,7 @@ def apply_doppler(gains: ChannelGains, sampling_frequency: float,
 
     def vel_for(side, name):
         if side is None:
-            return np.zeros(3)
+            return np.asarray(gains.scene.device(name).velocity, dtype=np.float64)
         if isinstance(side, dict):
             return np.asarray(side.get(name, np.zeros(3)), dtype=np.float64)
         return np.asarray(side, dtype=np.float64)

@@ -31,7 +31,7 @@ import numpy as np
 from .autodiff import DiffScalar, Tape
 from .autodiff import log as ad_log
 from .bvh import build
-from .channel import GridSpec, ProbeKernel, probe_paths, subcarrier_frequencies
+from .channel import GridSpec, ProbeKernel, probe_links, subcarrier_frequencies
 from .em import EvalContext, PathKernel
 from .scene import eta_per_sigma
 
@@ -263,22 +263,17 @@ def generate_dataset(scene, positions=None, num_subcarriers: int = 128,
     """Frequency responses at probe positions using the scene's materials.
 
     Defaults to the positions of the scene's receivers. Responses connect
-    the central tx array element to the central rx element. Bit-identical
-    across reruns for identical inputs.
+    the central element of the scene's first transmitter to the central rx
+    element. Bit-identical across reruns for identical inputs.
     """
     if bvh is None:
         bvh = build(scene)
-    txs = scene.transmitters
-    if not txs:
-        raise OptimError("scene has no transmitter")
-    tx_dev = txs[0]
     if positions is None:
         positions = [d.position for d in scene.receivers]
     if not len(positions):
         raise OptimError("no probe positions to generate data for")
     f = subcarrier_frequencies(num_subcarriers, subcarrier_spacing_hz)
-    links = [(tx_dev, probe, paths) for probe, paths in probe_paths(
-        bvh, tx_dev, positions, max_depth, method, num_rays)]
+    links = list(probe_links(scene, bvh, positions, max_depth, method, num_rays))
     kernel = PathKernel(scene, bvh, links, *_central_elements(scene))
     gains = iter(kernel.gains(kernel.etas(EvalContext(scene)))[0, 0])
     records = []
@@ -316,12 +311,10 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
         raise OptimError("dataset frequency_hz differs from the scene's carrier")
     if not dataset.records:
         raise OptimError("dataset 'records' is empty")
-    tx_dev = scene.transmitters[0]
     f = subcarrier_frequencies(dataset.num_subcarriers, dataset.subcarrier_spacing_hz)
 
-    traced = probe_paths(bvh, tx_dev, [r.position for r in dataset.records],
-                         config.max_depth, config.method, config.num_rays)
-    links = [(tx_dev, probe, paths) for probe, paths in traced]
+    links = list(probe_links(scene, bvh, [r.position for r in dataset.records],
+                             config.max_depth, config.method, config.num_rays))
     nmse = _FrozenNmse(PathKernel(scene, bvh, links, *_central_elements(scene)),
                        [paths for _, _, paths in links], f,
                        [rec.h for rec in dataset.records])
@@ -349,8 +342,8 @@ def learn_materials(scene, dataset: Dataset, config: OptimConfig | None = None,
 # -- experiment B: transmitter orientation -------------------------------------
 
 def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = None,
-                         tx_name: str | None = None, bvh=None) -> TrainLog:
-    """Gradient ascent of mean region path gain over tx yaw/pitch/roll.
+                         bvh=None) -> TrainLog:
+    """Gradient ascent of mean region path gain over the first transmitter's yaw/pitch/roll.
 
     The objective is the linear-domain mean of per-cell path gains. When no
     path reaches the region the orientation gradient is zero everywhere;
@@ -359,17 +352,13 @@ def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = N
     config = config or OptimConfig()
     if bvh is None:
         bvh = build(scene)
-    tx_dev = scene.device(tx_name) if tx_name else scene.transmitters[0]
-    cells = [region.cell_center(ix, iy)
-             for iy in range(region.ny) for ix in range(region.nx)]
-    if not cells:
+    if not region.num_cells:
         raise OptimError("empty region")
+    links = list(probe_links(scene, bvh, region.centers(), config.max_depth, config.method,
+                             config.num_rays))  # orientation never moves path geometry
+    tx_dev = links[0][0]
     keys = [f"dev:{tx_dev.name}:{k}" for k in _ANGLE_KEYS]
     values = dict(zip(keys, (float(a) for a in tx_dev.orientation)))
-
-    links = [(tx_dev, probe, paths) for probe, paths in probe_paths(
-        bvh, tx_dev, cells, config.max_depth, config.method,
-        config.num_rays)]  # orientation never moves path geometry
     if all(len(paths) == 0 for _, _, paths in links):
         warnings.warn("no propagation path reaches the target region; "
                       "orientation left unchanged")
@@ -377,7 +366,7 @@ def optimize_orientation(scene, region: GridSpec, config: OptimConfig | None = N
         log.append(0, 0.0, values)
         log.final_values = dict(values)
         return log
-    probes = ProbeKernel(scene, bvh, tx_dev, links)
+    probes = ProbeKernel(scene, bvh, links)
 
     def evaluate(vals, with_grad):
         tape = Tape() if with_grad else None

@@ -11,7 +11,9 @@ import zlib
 
 import numpy as np
 
-DEFAULT_FLOOR_DB = -150.0
+from .channel import FLOOR_DB
+
+PATHS_PX = 512  # edge of the square path overlay, in pixels
 
 # dark-blue -> magenta -> orange -> yellow ramp, interpolated to 256 entries
 _RAMP_STOPS = [
@@ -54,22 +56,19 @@ def write_png(path: str, rgb: np.ndarray):
         fh.write(payload)
 
 
-def colorize(values_db: np.ndarray, floor_db: float = DEFAULT_FLOOR_DB) -> np.ndarray:
-    """Map dB values to the fixed color ramp; the floor maps to index 0."""
+def colorize(values_db: np.ndarray) -> np.ndarray:
+    """Map dB values to the fixed color ramp; :data:`FLOOR_DB` maps to index 0."""
     top = float(values_db.max())
-    if top <= floor_db:
-        top = floor_db + 1.0
-    t = np.clip((values_db - floor_db) / (top - floor_db), 0.0, 1.0)
+    if top <= FLOOR_DB:
+        top = FLOOR_DB + 1.0
+    t = np.clip((values_db - FLOOR_DB) / (top - FLOOR_DB), 0.0, 1.0)
     idx = np.minimum((t * 255.0).astype(np.int64), 255)
     return _RAMP[idx]
 
 
-def render_coverage(cmap, floor_db: float = DEFAULT_FLOOR_DB,
-                    min_pixels: int = 256) -> np.ndarray:
+def render_coverage(cmap, min_pixels: int = 256) -> np.ndarray:
     """Coverage map raster; grid row iy=0 (min y) ends up at the image bottom."""
-    db = cmap.to_db(floor_db)
-    rgb = colorize(db, floor_db)
-    rgb = rgb[::-1, :, :]  # put +y up
+    rgb = colorize(cmap.to_db())[::-1, :, :]  # put +y up
     scale = max(1, min_pixels // max(cmap.grid.nx, cmap.grid.ny))
     return np.repeat(np.repeat(rgb, scale, axis=0), scale, axis=1)
 
@@ -89,13 +88,13 @@ def _draw_line(img: np.ndarray, x0: float, y0: float, x1: float, y1: float, colo
             img[yi, xi] = color
 
 
-def render_paths(pathset, size: int = 512) -> np.ndarray:
+def render_paths(pathset) -> np.ndarray:
     """Top-down orthographic overlay of path polylines (ground-plane projection).
 
     Each path is one polyline through its vertices' (x, y) coordinates,
     colored by its index; devices appear as endpoints of the polylines.
     """
-    img = np.zeros((size, size, 3), dtype=np.uint8)
+    img = np.zeros((PATHS_PX, PATHS_PX, 3), dtype=np.uint8)
     img[:, :] = (24, 24, 32)
     pts = np.vstack([p.vertices[:, :2] for p in pathset.paths]) \
         if pathset.paths else np.zeros((1, 2))
@@ -107,8 +106,8 @@ def render_paths(pathset, size: int = 512) -> np.ndarray:
     span = span + 2 * margin
 
     def to_px(v):
-        x = (v[0] - lo[0]) / span * (size - 1)
-        y = (size - 1) - (v[1] - lo[1]) / span * (size - 1)
+        x = (v[0] - lo[0]) / span * (PATHS_PX - 1)
+        y = (PATHS_PX - 1) - (v[1] - lo[1]) / span * (PATHS_PX - 1)
         return x, y
 
     for i, p in enumerate(pathset.paths):

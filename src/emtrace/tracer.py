@@ -6,9 +6,10 @@ recording the primitives each ray bounces off; neither looks at a receiver,
 so one candidate set serves all receivers of a transmitter. The set is kept
 as one int array of primitive ids per order, built once per transmitter.
 
-For every receiver the image method mirrors the transmitter across each
-candidate's planes and back-solves the interaction points so that the path
-arrives exactly at the receiver. The solve and its parallel, segment
+:func:`trace_links` is the one front end of every path search: for every
+receiver the image method mirrors the transmitter across each candidate's
+planes and back-solves the interaction points so that the path arrives
+exactly at the receiver. The solve and its parallel, segment
 fraction, barycentric, same-side and segment-length checks run as one numpy
 pass over a chunk of candidates (:data:`CHUNK`, which bounds the
 temporaries); only the few survivors are tested for occlusion and turned
@@ -343,29 +344,30 @@ def candidate_set(bvh: Bvh, tx_pos, max_depth: int,
             for order, group in itertools.groupby(found, key=len)]
 
 
-def solve_candidates(bvh: Bvh, tx_dev, rx_dev, candidates) -> list:
-    """Valid paths from one tx to one rx, sorted.
+def trace_links(bvh: Bvh, tx_dev, receivers, max_depth: int, method: str,
+                num_rays: int):
+    """Yield (tx_dev, rx, paths) per receiver, all solved from one candidate set.
 
-    ``candidates`` is the :func:`candidate_set` of ``tx_dev``'s position.
+    Each link's paths are valid, deduplicated and sorted: LOS first, then
+    by order and sequence. Every path search of the package runs here.
     """
-    paths = []
-    los = los_path(bvh, tx_dev, rx_dev)
-    if los is not None:
-        paths.append(los)
-    for seqs in candidates:
-        paths += [p for _, p in _solve_paths(tx_dev.name, rx_dev.name, tx_dev.position,
-                                             rx_dev.position, seqs, bvh)]
-    paths = _merge_coincident(paths)
-    paths.sort(key=lambda p: (0 if p.kind == "los" else 1, p.order, p.seq))
-    return paths
+    candidates = candidate_set(bvh, tx_dev.position, max_depth, method, num_rays)
+    for rx in receivers:
+        los = los_path(bvh, tx_dev, rx)
+        paths = [] if los is None else [los]
+        for seqs in candidates:
+            paths += [p for _, p in _solve_paths(tx_dev.name, rx.name, tx_dev.position,
+                                                 rx.position, seqs, bvh)]
+        paths = _merge_coincident(paths)
+        paths.sort(key=lambda p: (0 if p.kind == "los" else 1, p.order, p.seq))
+        yield tx_dev, rx, paths
 
 
 def compute_paths_between(scene, bvh: Bvh, tx_dev, rx_dev, max_depth: int,
                           method: str = "exhaustive",
                           num_rays: int = DEFAULT_NUM_RAYS):
     """All valid paths from one tx to one rx, deduplicated and sorted."""
-    candidates = candidate_set(bvh, tx_dev.position, max_depth, method, num_rays)
-    return solve_candidates(bvh, tx_dev, rx_dev, candidates)
+    return next(trace_links(bvh, tx_dev, [rx_dev], max_depth, method, num_rays))[2]
 
 
 def compute_paths(scene, bvh: Bvh, max_depth: int, method: str = "exhaustive",
@@ -374,11 +376,9 @@ def compute_paths(scene, bvh: Bvh, max_depth: int, method: str = "exhaustive",
     txs, rxs = scene.transmitters, scene.receivers
     if not txs or not rxs:
         raise TracerError("scene needs at least one transmitter and one receiver")
-    all_paths = []
-    for tx in txs:
-        candidates = candidate_set(bvh, tx.position, max_depth, method, num_rays)
-        for rx in rxs:
-            all_paths.extend(solve_candidates(bvh, tx, rx, candidates))
+    all_paths = [p for tx in txs
+                 for _, _, paths in trace_links(bvh, tx, rxs, max_depth, method, num_rays)
+                 for p in paths]
     return PathSet(scene=scene, max_depth=max_depth, method=method, paths=all_paths)
 
 

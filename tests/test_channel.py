@@ -245,11 +245,16 @@ class TestCoverage:
             coverage_map(free_space_scene, accel.build(free_space_scene), grid, 1,
                          tx_mode="beam")
 
+    @pytest.mark.parametrize("nx, ny", [(-2, -3), (-1, 4)])
+    def test_negative_grid_dimensions_rejected(self, nx, ny):
+        with pytest.raises(ChannelError, match="nx and ny must be >= 0"):
+            GridSpec(origin=(0.0, 0.0), cell_size=1.0, nx=nx, ny=ny)
+
     def test_cell_cap(self, free_space_scene):
         tree = accel.build(free_space_scene)
         grid = GridSpec(origin=(0, 0), cell_size=1.0, nx=1000, ny=1000)
         with pytest.raises(ChannelError, match="cap"):
-            coverage_map(free_space_scene, tree, grid, 1, cell_cap=10)
+            coverage_map(free_space_scene, tree, grid, 1)
 
 
 def test_fibonacci_coverage_launches_once(box_scene, monkeypatch):
@@ -426,7 +431,7 @@ class TestCoverageIo:
     def test_to_db_floor(self):
         grid = GridSpec(origin=(0, 0), cell_size=1.0, nx=2, ny=1)
         cm = CoverageMap(grid=grid, gains=np.array([[0.0, 1e-3]]), frequency_hz=1e9)
-        db = cm.to_db(-150.0)
+        db = cm.to_db()
         assert db[0, 0] == -150.0
         assert db[0, 1] == pytest.approx(-30.0)
 

@@ -18,6 +18,15 @@ def run(argv):
     return cli.main(argv)
 
 
+def without_transmitter(tmp_path, name) -> str:
+    """A copy of a bundled scene with its transmitters removed; its path."""
+    data = json.load(open(bundled_scene(name)))
+    data["devices"] = [d for d in data["devices"] if d["kind"] != "tx"]
+    path = tmp_path / f"{name}-no-tx.scene"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 class TestTrace:
     def test_two_ray_writes_two_records(self, tmp_path, capsys):
         out = str(tmp_path / "paths.txt")
@@ -316,6 +325,15 @@ class TestCalibrate:
         assert rc == 1
         assert f"{field} must" in capsys.readouterr().err
 
+    def test_scene_without_transmitter_exit_1(self, tmp_path, capsys, dataset):
+        ds_path = tmp_path / "d.json"
+        ds_path.write_text(json.dumps(dataset))
+        rc = run(["calibrate", "--scene", without_transmitter(tmp_path, "calib_init"),
+                  "--dataset", str(ds_path), "--max-depth", "1", "--iterations", "2",
+                  "--log", str(tmp_path / "l.csv")])
+        assert rc == 1
+        assert "scene has no transmitter" in capsys.readouterr().err
+
     def test_truncated_dataset_exit_1(self, tmp_path, capsys):
         ds_path = tmp_path / "cut.json"
         ds_path.write_text('{"frequency_hz": 3')
@@ -338,6 +356,13 @@ class TestOrient:
         assert len(rows) >= 3
         ypr = json.load(open(out))
         assert set(ypr) == {"dev:tx:pitch", "dev:tx:roll", "dev:tx:yaw"}
+
+    def test_scene_without_transmitter_exit_1(self, tmp_path, capsys):
+        rc = run(["orient", "--scene", without_transmitter(tmp_path, "orient"),
+                  "--max-depth", "1", "--grid", "1x1", "--cell", "5",
+                  "--log", str(tmp_path / "orient.csv")])
+        assert rc == 1
+        assert "scene has no transmitter" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--iterations", "0", "iterations"), ("--lr", "nan", "lr_angle"),

@@ -456,6 +456,17 @@ class TestDoppler:
         assert gains.entries[0].a.shape[-1] == 14
         assert np.allclose(np.diff(gains.sample_times), 1e-6)
 
+    def test_scene_velocity_is_the_default(self):
+        moving = self.make_los_gains()
+        moving.scene.device("tx").velocity = np.array([3.0, 0.0, 0.0])
+        static = self.make_los_gains()
+        a = apply_doppler(moving, 1e6, 14).entries[0].a
+        assert np.array_equal(a, apply_doppler(static, 1e6, 14,
+                                               tx_velocities=[3, 0, 0]).entries[0].a)
+        # an explicit velocity overrides the scene's
+        assert np.array_equal(apply_doppler(moving, 1e6, 14, tx_velocities=[0, 0, 0])
+                              .entries[0].a, apply_doppler(static, 1e6, 14).entries[0].a)
+
     def test_velocity_dict_per_device(self):
         gains = apply_doppler(self.make_los_gains(), 1e6, 8,
                               tx_velocities={"tx": [3, 0, 0]})

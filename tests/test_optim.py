@@ -9,7 +9,7 @@ import pytest
 from conftest import ground_scene, projected_sq_error, quad_object
 from emtrace import bvh as accel
 from emtrace.autodiff import DiffComplex, Tape
-from emtrace.channel import GridSpec, subcarrier_frequencies
+from emtrace.channel import ChannelError, GridSpec, subcarrier_frequencies
 from emtrace.em import EvalContext, geometry_from_path, path_materials, transfer
 from emtrace.geometry import rotation_from_ypr
 from emtrace.optim import (Dataset, OptimConfig, OptimError, TrainLog, _converged,
@@ -114,7 +114,7 @@ class TestDataset:
 
     def test_needs_a_transmitter_and_positions(self, free_space_scene):
         no_tx = dataclasses.replace(free_space_scene, devices=free_space_scene.receivers)
-        with pytest.raises(OptimError, match="no transmitter"):
+        with pytest.raises(ChannelError, match="no transmitter"):
             generate_dataset(no_tx)
         no_rx = dataclasses.replace(free_space_scene,
                                     devices=free_space_scene.transmitters)

@@ -114,7 +114,7 @@ around_box = st.tuples(_off_faces(-4.0, 14.0, 10.0), _off_faces(-4.0, 12.0, 8.0)
        max_depth=st.integers(1, 3))
 def test_candidate_columns_are_lexicographic_within_each_order(tx, method, max_depth):
     # _merge_coincident keeps the first of coplanar twins as the smallest
-    # sequence because solve_candidates sees each order in this column order
+    # sequence because trace_links sees each order in this column order
     groups = candidate_set(TREE, tx, max_depth, method, NUM_RAYS)
     assert [seqs.shape[0] for seqs in groups] == list(range(1, len(groups) + 1))
     for seqs in groups:
