@@ -15,8 +15,9 @@ from conftest import brute_force_first_hit, make_scene, projected_sq_error, quad
 from emtrace import bvh as accel
 from emtrace.autodiff import DiffComplex, Tape
 from emtrace.channel import point_path_gain, probe_receiver, subcarrier_frequencies
-from emtrace.em import (EvalContext, PathKernel, _fresnel_arrays, element_field, fresnel,
-                        geometry_from_path, path_materials, synthetic_phase, transfer)
+from emtrace.em import (EvalContext, PathKernel, _fresnel_arrays, compute_gains,
+                        element_field, fresnel, geometry_from_path, path_materials,
+                        synthetic_phase, transfer)
 from emtrace.geometry import mat_vec
 from emtrace.optim import _FrozenNmse
 from emtrace.scene import (AntennaArray, RadioDevice, RadioMaterial, bundled_scene,
@@ -384,3 +385,90 @@ def test_reflection_coefficients_are_passive(rows):
     assert np.all(np.abs(r_te) <= bound) and np.all(np.abs(r_tm) <= bound)
     for e, c in zip(eta.tolist(), cos.tolist()):
         assert all(abs(r.to_complex()) <= bound for r in fresnel(e, c))
+
+
+# -- the image-source lattice of the box room ----------------------------------
+
+ROOM = (10.0, 8.0)  # the box's wall spacing along x and y
+
+
+def _lattice(tx, rx, max_depth):
+    """{(n_x, n_y, n_z): [image - rx, ...]} over the images of ``tx`` with <= max_depth bounces.
+
+    The image method of Allen and Berkley (JASA 65(4), 1979) for the box's
+    walls at x = 0, L_x and y = 0, L_y and its floor at z = 0 (the top is
+    open): along x the images sit at 2 m L + x after |2m| wall bounces and
+    at 2 m L - x after |2m - 1|, likewise along y, and at -z after the one
+    floor bounce. Every image is exactly one valid path: the unfolded path
+    never rises above the higher device, so each wall hit lies on a wall.
+    """
+    axes = [[(abs(2 * m), 2 * m * size + c) for m in range(-max_depth, max_depth + 1)]
+            + [(abs(2 * m - 1), 2 * m * size - c) for m in range(-max_depth, max_depth + 2)]
+            for c, size in zip(tx[:2], ROOM)]
+    axes.append([(0, tx[2]), (1, -tx[2])])
+    images = {}
+    for nx, x in axes[0]:
+        for ny, y in axes[1]:
+            for nz, z in axes[2]:
+                if nx + ny + nz <= max_depth:
+                    images.setdefault((nx, ny, nz), []).append(np.subtract((x, y, z), rx))
+    return images
+
+
+def _crossings(rx, delta):
+    """Distances from ``rx`` along the unfolded path to ``rx + delta`` at which it meets a face plane."""
+    d = float(np.linalg.norm(delta))
+    out = [-rx[2] / delta[2] * d] if rx[2] + delta[2] < 0.0 else []
+    for axis, size in enumerate(ROOM):
+        lo, hi = sorted((rx[axis], rx[axis] + delta[axis]))
+        out += [(k * size - rx[axis]) / delta[axis] * d
+                for k in range(math.ceil(lo / size), math.floor(hi / size) + 1)]
+    return sorted(out)
+
+
+def _bounces(path):
+    """(n_x, n_y, n_z): the path's bounces off x-walls, y-walls and the floor."""
+    axes = [int(np.argmax(np.abs(TREE.normals[prim]))) for prim in path.seq]
+    return tuple(axes.count(k) for k in range(3))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(tx=inside_box, rx=inside_box, max_depth=st.integers(1, 3), level=st.booleans())
+def test_box_paths_are_the_image_source_lattice(tx, rx, max_depth, level):
+    if level:  # equal heights: a wall-only path stays horizontal and pure TE
+        rx = (rx[0], rx[1], tx[2])
+    assume(np.linalg.norm(np.subtract(tx, rx)) > 0.1)
+    iso_v = AntennaArray(pattern="iso", polarization="V")
+    scene = dataclasses.replace(BOX, tx_array=iso_v, rx_array=iso_v, devices=[
+        RadioDevice("tx", "tx", np.array(tx)), RadioDevice("rx", "rx", np.array(rx))])
+    lattice = _lattice(tx, rx, max_depth)
+    for (nx, ny, nz), deltas in lattice.items():
+        for delta in deltas:
+            hits = _crossings(rx, delta)
+            assert len(hits) == nx + ny + nz
+            # a path through an edge of the room, where two faces meet, is
+            # not in general position: its two hits coincide
+            assume(all(b - a > 1e-3 for a, b in zip(hits, hits[1:])))
+    # per bounce class, each lattice image as (length, image - rx), by length
+    want = {k: sorted((float(np.linalg.norm(d)), tuple(d)) for d in v)
+            for k, v in lattice.items()}
+    pathset = compute_paths(scene, TREE, max_depth)
+    got = {}
+    for q, p in enumerate(pathset.paths):
+        got.setdefault(_bounces(p), []).append((p.length_m, q))
+    assert sorted(got) == sorted(want)
+    for k, rows in got.items():
+        rows.sort()
+        assert len(rows) == len(want[k])
+        assert max(abs(a[0] - b[0]) for a, b in zip(rows, want[k])) <= 1e-9
+    if level:
+        lam, gains = scene.wavelength, compute_gains(scene, TREE, pathset).entries
+        eta = EvalContext(scene).eta("concrete")
+        for (nx, ny, nz), rows in got.items():
+            for (_, q), (d, delta) in zip(rows, want[nx, ny, nz]) if nz == 0 else ():
+                r_x, r_y = (fresnel(eta, abs(c) / d)[0].to_complex() for c in delta[:2])
+                a = lam / (4 * math.pi * d) * np.exp(-2j * math.pi * d / lam) * r_x ** nx * r_y ** ny
+                assert abs(gains[q].a[0, 0, 0] - a) <= 1e-12 * abs(a)
+    # a launched path is one of the lattice's, under one of its sequences
+    for p in compute_paths(scene, TREE, max_depth, "fibonacci", NUM_RAYS).paths:
+        assert min(abs(p.length_m - d) for d, _ in want[_bounces(p)]) <= 1e-9
