@@ -13,10 +13,10 @@ from .channel import (Cir, CoverageMap, FreqResponse, GridSpec, build_cir,
                       coverage_map, frequency_response, load_cir,
                       point_path_gain, save_cir)
 from .em import (ChannelGains, EvalContext, apply_doppler, compute_gains,
-                 fresnel, pattern_eval, synthetic_phase, transfer)
+                 fresnel, synthetic_phase, transfer)
 from .geometry import fibonacci_directions, rotation_from_ypr
 from .optim import (Dataset, OptimConfig, TrainLog, generate_dataset,
-                    learn_materials, nmse_loss, optimize_orientation)
+                    learn_materials, optimize_orientation)
 from .scene import (AntennaArray, RadioDevice, RadioMaterial, Scene,
                     SceneError, SceneObject, bundled_scene, load_scene,
                     look_at, material_eval, write_scene)

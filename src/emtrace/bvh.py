@@ -63,10 +63,10 @@ class Bvh:
             lo = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
             hi = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
             self._build(np.arange(self.num_prims), cent, lo, hi)
-        # flat python tuples for the scalar hot path, in traversal order
-        self._tri = [(tuple(v0[i]), tuple(e1[i]), tuple(e2[i]), int(i))
-                     for i in self._order]
-        self._flat_nodes = [(tuple(mn), tuple(mx), a, b, leaf)
+        # flat tables of Python floats for the scalar hot path, in traversal order
+        self._tri = [(tuple(v0[i].tolist()), tuple(e1[i].tolist()), tuple(e2[i].tolist()), i)
+                     for i in self._order.tolist()]
+        self._flat_nodes = [(tuple(mn.tolist()), tuple(mx.tolist()), a, b, leaf)
                             for (mn, mx, a, b, leaf) in self._nodes]
 
     def _build(self, idx, cent, lo, hi) -> int:
@@ -93,16 +93,15 @@ class Bvh:
 
     # -- queries -----------------------------------------------------------
 
-    def intersect(self, origin, direction, t_min: float = RAY_EPS,
-                  t_max: float = math.inf):
-        """Nearest hit with t in (t_min, t_max), or None.
+    def intersect(self, origin, direction):
+        """Nearest hit with t > :data:`RAY_EPS`, or None.
 
         ``direction`` must be unit length so t is in meters. Triangles are
         two-sided; the returned normal is flipped to face the ray origin.
         """
         res = self._trace(float(origin[0]), float(origin[1]), float(origin[2]),
                           float(direction[0]), float(direction[1]), float(direction[2]),
-                          t_min, t_max, False)
+                          RAY_EPS, math.inf, False)
         if res is None:
             return None
         t, prim = res
@@ -113,8 +112,8 @@ class Bvh:
             n = -n
         return Hit(t=t, prim=prim, point=o + t * d, normal=n)
 
-    def occluded(self, p, q, eps: float = RAY_EPS) -> bool:
-        """True iff any primitive cuts the open segment p -> q (eps-shrunk)."""
+    def occluded(self, p, q) -> bool:
+        """True iff any primitive cuts the open segment p -> q, shrunk by :data:`RAY_EPS`."""
         dx = float(q[0]) - float(p[0])
         dy = float(q[1]) - float(p[1])
         dz = float(q[2]) - float(p[2])
@@ -124,7 +123,7 @@ class Bvh:
         inv = 1.0 / dist
         res = self._trace(float(p[0]), float(p[1]), float(p[2]),
                           dx * inv, dy * inv, dz * inv,
-                          eps, dist - eps, True)
+                          RAY_EPS, dist - RAY_EPS, True)
         return res is not None
 
     def _trace(self, ox, oy, oz, dx, dy, dz, t_min, t_max, any_hit):

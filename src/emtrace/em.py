@@ -102,11 +102,6 @@ def get_pattern(name: str):
         raise EmError(f"unknown antenna pattern {name!r}") from None
 
 
-def pattern_eval(name: str, theta, phi):
-    """(E_theta, E_phi) of a named pattern; gain is |E_theta|^2 + |E_phi|^2."""
-    return get_pattern(name)(theta, phi)
-
-
 def element_field(pattern_name: str, slant: float, rotation_rows, k_world):
     """Polarized field vector radiated toward ``k_world``, in world frame.
 
@@ -504,7 +499,6 @@ class PathGain:
     seq: tuple
     delay: float
     a: np.ndarray  # [rx_el, tx_el, time]
-    delays: np.ndarray  # [rx_el, tx_el] per-pair delays
     k_dep: np.ndarray  # [rx_el, tx_el, 3]
     k_arr: np.ndarray
 
@@ -532,9 +526,10 @@ def _fraunhofer_check(scene, tx_dev, rx_dev, offsets_tx, offsets_rx, length):
 
 
 def compute_gains(scene, bvh, pathset) -> ChannelGains:
-    """Complex gains for every path and antenna element pair.
+    """Complex gains for every path and antenna element pair, link by link.
 
-    With ``scene.synthetic_array`` the per-element response is the center
+    Gains use the devices the links were traced with. With
+    ``scene.synthetic_array`` the per-element response is the center
     path's gain per distinct (rx slant, tx slant) times plane-wave phase
     shifts; otherwise every element pair's path is re-solved, LOS and
     reflections alike, in one batched solve per path. The coefficients come
@@ -546,18 +541,16 @@ def compute_gains(scene, bvh, pathset) -> ChannelGains:
     (st, of_tx), (sr, of_rx) = (np.unique(s, return_inverse=True) for s in (slants_tx, slants_rx))
     elements = [[(arr.pattern, s) for s in u.tolist()] for arr, u in zip(arrays, (st, sr))]
     entries = []
-    for tx_dev in scene.transmitters:
+    for tx_dev, rx_dev, paths in pathset.links:
         off_tx_w = off_tx @ rotation_from_ypr(*tx_dev.orientation).T
-        for rx_dev in scene.receivers:
-            off_rx_w = off_rx @ rotation_from_ypr(*rx_dev.orientation).T
-            paths = pathset.between(tx_dev.name, rx_dev.name)
-            link = (tx_dev, rx_dev, elements, off_tx_w, of_tx, off_rx_w, of_rx)
-            if paths and scene.synthetic_array:
-                _fraunhofer_check(scene, tx_dev, rx_dev, off_tx_w, off_rx_w,
-                                  min(p.length_m for p in paths))
-                entries += _gain_synthetic(scene, bvh, paths, *link)
-            elif paths:
-                entries += [_gain_explicit(scene, bvh, path, *link) for path in paths]
+        off_rx_w = off_rx @ rotation_from_ypr(*rx_dev.orientation).T
+        link = (tx_dev, rx_dev, elements, off_tx_w, of_tx, off_rx_w, of_rx)
+        if paths and scene.synthetic_array:
+            _fraunhofer_check(scene, tx_dev, rx_dev, off_tx_w, off_rx_w,
+                              min(p.length_m for p in paths))
+            entries += _gain_synthetic(scene, bvh, paths, *link)
+        elif paths:
+            entries += [_gain_explicit(scene, bvh, path, *link) for path in paths]
     return ChannelGains(scene=scene, entries=entries, sample_times=np.zeros(1))
 
 
@@ -574,7 +567,6 @@ def _gain_synthetic(scene, bvh, paths, tx_dev, rx_dev, elements,
     shape = a.shape[:2]
     return [PathGain(tx=tx_dev.name, rx=rx_dev.name, kind=p.kind, seq=p.seq,
                      delay=p.delay_s, a=a[:, :, q, None],
-                     delays=np.full(shape, p.delay_s),
                      k_dep=np.broadcast_to(p.k_dep, shape + (3,)),
                      k_arr=np.broadcast_to(p.k_arr, shape + (3,)))
             for q, p in enumerate(paths)]
@@ -584,7 +576,7 @@ def _gain_explicit(scene, bvh, path, tx_dev, rx_dev, elements,
                    off_tx_w, of_tx, off_rx_w, of_rx):
     """Element pairs re-solved as the columns of one solve; blocked pairs stay 0."""
     n_rx, n_tx = len(off_rx_w), len(off_tx_w)
-    a, delays = np.zeros((n_rx, n_tx), dtype=np.complex128), np.zeros((n_rx, n_tx))
+    a = np.zeros((n_rx, n_tx), dtype=np.complex128)
     k_dep, k_arr = np.zeros((n_rx, n_tx, 3)), np.zeros((n_rx, n_tx, 3))
     # column i * n_tx + j pairs rx element i with tx element j
     tx_cols = np.tile(tx_dev.position + off_tx_w, (n_rx, 1)).T
@@ -597,13 +589,11 @@ def _gain_explicit(scene, bvh, path, tx_dev, rx_dev, elements,
         kernel = PathKernel(scene, bvh, [(tx_dev, rx_dev, subs)], *elements)
         a[i, j] = kernel.gains(kernel.etas(EvalContext(scene)))[
             of_rx[i], of_tx[j], np.arange(len(subs))]
-        delays[i, j] = [sub.delay_s for sub in subs]
         k_dep[i, j] = [sub.k_dep for sub in subs]
         k_arr[i, j] = [sub.k_arr for sub in subs]
-    delay = float(np.mean(delays[i, j])) if subs else path.delay_s
+    delay = float(np.mean([sub.delay_s for sub in subs])) if subs else path.delay_s
     return PathGain(tx=tx_dev.name, rx=rx_dev.name, kind=path.kind, seq=path.seq,
-                    delay=delay, a=a[:, :, None], delays=delays,
-                    k_dep=k_dep, k_arr=k_arr)
+                    delay=delay, a=a[:, :, None], k_dep=k_dep, k_arr=k_arr)
 
 
 def apply_doppler(gains: ChannelGains, sampling_frequency: float,
@@ -612,9 +602,8 @@ def apply_doppler(gains: ChannelGains, sampling_frequency: float,
     """Time-evolve gains: a_i(t_n) = a_i e^{j 2 pi f_D_i t_n}.
 
     f_D = (f_c/c) * (k_dep . v_tx + (-k_arr) . v_rx). Velocities are world
-    frame, either one 3-vector applied to every device of that side or a
-    dict keyed by device name (a device it omits stands still). ``None``,
-    the default, takes each device's own scene velocity. Doppler is
+    frame: one 3-vector applied to every device of that side, or ``None``,
+    the default, which takes each device's own scene velocity. Doppler is
     phase-only: |a| is constant in n.
     """
     if num_time_steps < 1 or not 0.0 < sampling_frequency < math.inf:
@@ -623,11 +612,8 @@ def apply_doppler(gains: ChannelGains, sampling_frequency: float,
         raise EmError("doppler already applied to these gains")
 
     def vel_for(side, name):
-        if side is None:
-            return np.asarray(gains.scene.device(name).velocity, dtype=np.float64)
-        if isinstance(side, dict):
-            return np.asarray(side.get(name, np.zeros(3)), dtype=np.float64)
-        return np.asarray(side, dtype=np.float64)
+        velocity = gains.scene.device(name).velocity if side is None else side
+        return np.asarray(velocity, dtype=np.float64)
 
     t = np.arange(num_time_steps) / sampling_frequency
     f_over_c = gains.scene.frequency_hz / SPEED_OF_LIGHT
@@ -639,5 +625,5 @@ def apply_doppler(gains: ChannelGains, sampling_frequency: float,
         phasors = np.exp(1j * TWO_PI * f_d[:, :, None] * t[None, None, :])
         out.append(PathGain(tx=e.tx, rx=e.rx, kind=e.kind, seq=e.seq,
                             delay=e.delay, a=e.a[:, :, 0:1] * phasors,
-                            delays=e.delays, k_dep=e.k_dep, k_arr=e.k_arr))
+                            k_dep=e.k_dep, k_arr=e.k_arr))
     return ChannelGains(scene=gains.scene, entries=out, sample_times=t)

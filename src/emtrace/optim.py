@@ -12,11 +12,10 @@ path geometry, so both trace their probes once and build one
 Material learning evaluates its loss in numpy, one pass over all record
 paths whatever their interaction counts, and takes the gradient on the
 (eps_r, sigma) leaves directly from the kernel's closed-form
-vector-Jacobian product; it records no tape. :func:`nmse_loss` is the same
-error on plain complex vectors. Orientation is the one experiment that
-records a tape: it keeps the kernel's vectors w fixed and records only the
-transmitter's element fields under the rotation leaves and their
-products w . f.
+vector-Jacobian product; it records no tape. Orientation is the one
+experiment that records a tape: it keeps the kernel's vectors w fixed and
+records only the transmitter's element fields under the rotation leaves
+and their products w . f.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class OptimConfig:
     lr: float = 0.05  # eps_r leaves; sigma leaves step lr / 10
     lr_angle: float = 0.2  # radians-scale leaves
     iterations: int = 500
-    rel_tol: float = 1e-6
     max_depth: int = 2
     method: str = "exhaustive"
     num_rays: int = 4096
@@ -53,7 +51,7 @@ class OptimConfig:
     def __post_init__(self):
         if not self.iterations >= 1:
             raise OptimError(f"iterations must be at least 1, got {self.iterations}")
-        for name in ("lr", "lr_angle", "rel_tol"):
+        for name in ("lr", "lr_angle"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise OptimError(f"{name} must be finite and >= 0, got {v}")
@@ -143,19 +141,6 @@ class TrainLog:
 
 # -- losses -------------------------------------------------------------------
 
-def nmse_loss(h_pred, h_true):
-    """Normalized mean squared error ||pred - true||^2 / ||true||^2 of complex vectors."""
-    h_true = np.asarray(h_true, dtype=np.complex128)
-    norm2 = float(np.vdot(h_true, h_true).real)
-    if norm2 <= 0.0:
-        raise OptimError("NMSE target has zero norm")
-    h_pred = np.asarray(h_pred, dtype=np.complex128)
-    if h_pred.shape != h_true.shape:
-        raise OptimError("prediction/target shape mismatch")
-    err = h_pred - h_true
-    return float(np.vdot(err, err).real) / norm2
-
-
 class _FrozenNmse:
     """Mean NMSE over records of frozen paths, as a numpy function of the etas.
 
@@ -198,6 +183,7 @@ _EPS_KEY = "mat:{}:eps_r"
 _SIG_KEY = "mat:{}:sigma"
 _ANGLE_KEYS = ("yaw", "pitch", "roll")
 _TOL_WINDOW = 10  # rows the relative stop looks back over
+_REL_TOL = 1e-6  # relative change over the window below which the loop stops
 
 
 def _converged(losses, rel_tol: float) -> bool:
@@ -220,7 +206,7 @@ def _optimize(values, evaluate, step, lower, config: OptimConfig, sign: float) -
     descent never increases f and ascent never decreases it; a step taken
     at its first trial doubles s for the next iteration. The loop stops at
     ``config.iterations`` rows, or once the logged value has moved by less
-    than ``config.rel_tol`` (relative) over the last ``_TOL_WINDOW`` rows.
+    than ``_REL_TOL`` (relative) over the last ``_TOL_WINDOW`` rows.
     """
     log = TrainLog(values)
     scale = 1.0
@@ -243,7 +229,7 @@ def _optimize(values, evaluate, step, lower, config: OptimConfig, sign: float) -
                 values, scale = cand, (min(trial * 2.0, 1e9) if trial == scale else trial)
                 break
             trial *= 0.5
-        if _converged(log.losses, config.rel_tol):
+        if _converged(log.losses, _REL_TOL):
             break
     log.final_values = dict(values)
     return log

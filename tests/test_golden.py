@@ -109,10 +109,12 @@ def run_library(workdir: pathlib.Path) -> dict:
         tree = build(scene)
         gains = compute_gains(scene, tree, compute_paths(scene, tree, 2))
         cir = build_cir(apply_doppler(gains, 1e3, 4, tx_velocities=[3.0, 0.0, 0.0]))
-        save_cir(cir, str(workdir / f"cir-{kind}"))
+        out = workdir / f"cir-{kind}"
+        save_cir(cir, str(out))
         fr = frequency_response(cir, 64, 30e3)
-        digests[f"cir-{kind}"] = hashlib.sha256((workdir / f"cir-{kind}").read_bytes()).hexdigest()
-        digests[f"ofdm-{kind}"] = hashlib.sha256(fr.h.tobytes() + fr.frequencies.tobytes()).hexdigest()
+        digests[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        ofdm = fr.h.tobytes() + fr.frequencies.tobytes()
+        digests[f"ofdm-{kind}"] = hashlib.sha256(ofdm).hexdigest()
     scene = _array_box(True)
     grid = GridSpec(origin=(0.6, 0.4), cell_size=0.9, nx=8, ny=8)
     for mode in ("central", "array"):

@@ -2,44 +2,50 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import ground_scene, projected_sq_error, quad_object
 from emtrace import bvh as accel
+from emtrace import optim
 from emtrace.autodiff import DiffComplex, Tape
 from emtrace.channel import ChannelError, GridSpec, subcarrier_frequencies
 from emtrace.em import EvalContext, geometry_from_path, path_materials, transfer
 from emtrace.geometry import rotation_from_ypr
 from emtrace.optim import (Dataset, OptimConfig, OptimError, TrainLog, _converged,
-                           generate_dataset,
-                           learn_materials, nmse_loss, optimize_orientation)
+                           _FrozenNmse, generate_dataset, learn_materials,
+                           optimize_orientation)
 from emtrace.scene import (AntennaArray, RadioDevice, RadioMaterial,
                            bundled_scene, load_scene)
 from emtrace.tracer import compute_paths_between
 
 
 class TestNmse:
+    """The calibration loss on one record: one path of gain ``a``, flat over 3 subcarriers."""
+
+    H = np.full(3, 1 + 2j)
+
+    @staticmethod
+    def loss(a, target):
+        # a stand-in kernel whose one path gain is the eta it is evaluated at
+        kernel = SimpleNamespace(gains=lambda eta: eta.reshape(1, 1, -1))
+        nmse = _FrozenNmse(kernel, [[SimpleNamespace(delay_s=0.0)]], np.zeros(3), [target])
+        return nmse(np.array([a], dtype=complex))[0]
+
     def test_equal_is_zero(self):
-        h = np.array([1 + 2j, -0.5j, 3.0])
-        assert nmse_loss(h, h) == 0.0
+        assert self.loss(1 + 2j, self.H) == 0.0
 
     def test_zero_prediction_is_one(self):
-        h = np.array([1 + 2j, -0.5j, 3.0])
-        assert nmse_loss(np.zeros(3, complex), h) == pytest.approx(1.0)
+        assert self.loss(0j, np.array([1 + 2j, -0.5j, 3.0])) == pytest.approx(1.0)
 
     def test_double_prediction_is_one(self):
-        h = np.array([1 + 2j, -0.5j, 3.0])
-        assert nmse_loss(2 * h, h) == pytest.approx(1.0)
+        assert self.loss(2 + 4j, self.H) == pytest.approx(1.0)
 
     def test_zero_target_rejected(self):
-        with pytest.raises(OptimError):
-            nmse_loss(np.ones(3, complex), np.zeros(3, complex))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(OptimError, match="shape mismatch"):
-            nmse_loss(np.ones(2, complex), np.ones(3, complex))
+        with pytest.raises(OptimError, match="zero-norm"):
+            self.loss(1 + 2j, np.zeros(3, complex))
 
 
 def test_projected_sq_error_gradient_vs_fd():
@@ -235,19 +241,17 @@ class TestLearnMaterials:
         real = tracer._solve_batch
         monkeypatch.setattr(tracer, "_solve_batch",
                             lambda *a: solves.append(a[2].shape[1]) or real(*a))
+        monkeypatch.setattr(optim, "_REL_TOL", 0.0)  # both runs go to their caps
         counts = []
         for iterations in (5, 25):
             solves.clear()
-            # rel_tol=0 keeps both runs going to their caps
             log = learn_materials(init_scene, ds,
-                                  OptimConfig(iterations=iterations, max_depth=1,
-                                              rel_tol=0.0))
+                                  OptimConfig(iterations=iterations, max_depth=1))
             assert len(log.rows) == iterations
             counts.append(sum(solves))
         assert counts[0] == counts[1] > 0
 
     def test_records_no_tape(self, monkeypatch):
-        from emtrace import optim
         truth = load_scene(bundled_scene("calib_truth"))
         init = load_scene(bundled_scene("calib_init"))
         ds = generate_dataset(truth, num_subcarriers=32, subcarrier_spacing_hz=30e3,
@@ -260,8 +264,8 @@ class TestLearnMaterials:
                 tapes.append(self)
 
         monkeypatch.setattr(optim, "Tape", CountingTape)
-        log = learn_materials(init, ds, OptimConfig(iterations=20, max_depth=1,
-                                                    rel_tol=0.0))
+        monkeypatch.setattr(optim, "_REL_TOL", 0.0)
+        log = learn_materials(init, ds, OptimConfig(iterations=20, max_depth=1))
         # the kernel's closed-form gradient is used directly
         assert len(log.rows) == 20
         assert tapes == []
@@ -338,11 +342,12 @@ class TestOrientation:
         real = tracer._solve_batch
         monkeypatch.setattr(tracer, "_solve_batch",
                             lambda *a: solves.append(a[2].shape[1]) or real(*a))
+        monkeypatch.setattr(optim, "_REL_TOL", 0.0)
         counts = []
         for iterations in (3, 12):
             solves.clear()
             log = optimize_orientation(sc, region, OptimConfig(
-                iterations=iterations, max_depth=1, rel_tol=0.0))
+                iterations=iterations, max_depth=1))
             assert len(log.rows) == iterations
             counts.append(sum(solves))
         assert counts[0] == counts[1] > 0
@@ -355,10 +360,11 @@ class TestOrientation:
         real = em.PathKernel.__init__
         monkeypatch.setattr(em.PathKernel, "__init__",
                             lambda self, *a: built.append(1) or real(self, *a))
+        monkeypatch.setattr(optim, "_REL_TOL", 0.0)
         for iterations in (3, 12):
             built.clear()
             log = optimize_orientation(sc, region, OptimConfig(
-                iterations=iterations, max_depth=1, rel_tol=0.0))
+                iterations=iterations, max_depth=1))
             assert len(log.rows) == iterations
             assert len(built) == 1
 
